@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 planning or input-format failure, 3 inversion
-precondition failure, 4 numeric singularity or divergence.
+precondition failure, 4 numeric singularity, divergence or a non-finite
+coefficient.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fliess.errors import (
     FliessError,
     InversionPreconditionError,
     MapFormatError,
+    NonFiniteError,
     PlanningError,
     SimulationError,
     SingularConstantTermError,
@@ -37,12 +39,6 @@ from fliess.planner import (
 from fliess.realization import ControlSignal, Trajectory, rk4_simulate
 from fliess.series import dump_json, load_json_document, series_from_json, shuffle, shuffle_inverse
 from fliess.vehicle import CarParams, SectionInit, augmented_realization
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _map_from_args(args):
@@ -69,7 +65,7 @@ def cmd_plan(args):
         margin=args.margin,
     )
     path = extract_path(tree)
-    _write_json(args.out, {"points": [list(p) for p in path]})
+    dump_json({"points": [list(p) for p in path]}, args.out)
     print(f"planned {len(path)} waypoints ({len(tree.nodes)} tree nodes)")
 
 
@@ -93,7 +89,7 @@ def cmd_spline(args):
         branch=args.branch,
         params=_car_params(args),
     )
-    _write_json(args.out, spline.to_json_dict())
+    dump_json(spline, args.out)
     print(f"fitted {spline.n_sections} sections over {spline.total_time:g} time units")
 
 
@@ -115,13 +111,13 @@ def cmd_invert(args):
                 "speed_rate": [float(v) for v in c_u.coeffs[1]],
             }
         )
-    _write_json(
-        args.out,
+    dump_json(
         {
             "degree": args.degree,
             "params": {"L": params.length, "k": params.k},
             "sections": out_sections,
         },
+        args.out,
     )
     print(f"inverted {len(out_sections)} sections at degree {args.degree}")
 
@@ -212,7 +208,7 @@ def cmd_series(args):
         if args.degree is None:
             raise MapFormatError("invert-op needs an explicit --degree")
         result = left_invert(a, reference, args.degree)
-        _write_json(args.out, result.to_json_dict())
+        dump_json(result, args.out)
         print(f"wrote input expansion of degree {result.degree}")
         return
     else:  # unreachable behind argparse choices
@@ -314,7 +310,13 @@ def main(argv=None):
     except InversionPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SingularConstantTermError, ConvergenceError, EvaluationError, SimulationError) as exc:
+    except (
+        SingularConstantTermError,
+        ConvergenceError,
+        EvaluationError,
+        SimulationError,
+        NonFiniteError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (FliessError, ValueError) as exc:

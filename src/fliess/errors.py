@@ -53,6 +53,10 @@ class ConvergenceError(FliessError):
     """A fixed-point computation failed to stabilize (signals an implementation fault)."""
 
 
+class NonFiniteError(FliessError):
+    """A series coefficient is NaN or infinite."""
+
+
 class EvaluationError(FliessError):
     """Symbolic expression evaluation produced a non-finite value."""
 

@@ -6,6 +6,8 @@ is reserved for the drift direction throughout the library, letters
 1..m for the inputs.  Series are truncated: words longer than
 max_degree are never stored, and coefficients with magnitude below
 1e-15 are dropped after every arithmetic step so zero stays canonical.
+The public constructor rejects NaN and infinite coefficients with
+NonFiniteError, so they cannot pass that filter as zeros.
 
 Truncation degree is a property of each operation call.  When the
 degree argument is omitted an operation uses the smallest operand
@@ -18,9 +20,15 @@ Deterministic ordering everywhere is degree-then-lexicographic.
 from __future__ import annotations
 
 import json
+import math
 
 from fliess import _kernels
-from fliess.errors import AlphabetMismatchError, MapFormatError, SingularConstantTermError
+from fliess.errors import (
+    AlphabetMismatchError,
+    MapFormatError,
+    NonFiniteError,
+    SingularConstantTermError,
+)
 
 import numpy as np
 
@@ -76,11 +84,12 @@ class Series:
                 for letter in w:
                     if not 0 <= letter < self.alphabet_size:
                         raise ValueError(f"letter {letter} outside alphabet of size {self.alphabet_size}")
+                c = float(c)
+                if not math.isfinite(c):
+                    raise NonFiniteError(f"coefficient of {word_str(w)} is {c!r}")
                 if len(w) > self.max_degree:
                     continue
-                c = float(c)
-                c = clean.get(w, 0.0) + c
-                clean[w] = c
+                clean[w] = clean.get(w, 0.0) + c
         self._terms = {w: c for w, c in clean.items() if abs(c) > EPS}
 
     # -- constructors -------------------------------------------------
@@ -207,10 +216,6 @@ class Series:
             degree,
             {w: c for w, c in self._terms.items() if len(w) <= degree},
         )
-
-    def with_degree(self, degree):
-        """Same terms, relabeled truncation degree (degree must dominate stored words)."""
-        return self.truncate(degree)
 
     # -- comparisons ---------------------------------------------------
 
@@ -592,9 +597,18 @@ def left_shift(prefix, s):
     return Series._raw(s.alphabet_size, s.max_degree, out)
 
 
-def natural_forced_split(s):
-    """Split into (drift-only part, remainder)."""
-    return s.natural_part(), s.forced_part()
+def constant_term_inverse(a0):
+    """Inverse of a square constant-term matrix.
+
+    Raises SingularConstantTermError when the matrix fails the
+    singular-value rank test.
+    """
+    sv = np.linalg.svd(a0, compute_uv=False)
+    if sv[-1] <= SINGULARITY_RTOL * sv[0] or sv[0] == 0.0:
+        raise SingularConstantTermError(
+            f"constant-term matrix is singular (sigma_min/sigma_max = {sv[-1]:.3e}/{sv[0]:.3e})"
+        )
+    return np.linalg.inv(a0)
 
 
 def shuffle_inverse(c, degree=None):
@@ -612,13 +626,7 @@ def shuffle_inverse(c, degree=None):
     if n != m:
         raise ValueError("shuffle inverse needs a square matrix")
     deg = c.max_degree if degree is None else degree
-    a0 = c.constant_matrix()
-    sv = np.linalg.svd(a0, compute_uv=False)
-    if sv[-1] <= SINGULARITY_RTOL * sv[0] or sv[0] == 0.0:
-        raise SingularConstantTermError(
-            f"constant-term matrix is singular (sigma_min/sigma_max = {sv[-1]:.3e}/{sv[0]:.3e})"
-        )
-    a0_inv = np.linalg.inv(a0)
+    a0_inv = constant_term_inverse(c.constant_matrix())
     c = MatrixSeries([[e.truncate(deg) for e in row] for row in c.entries])
     # proper remainder C' = I - A^-1 C
     ainv_c = MatrixSeries(

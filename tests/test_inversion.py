@@ -2,12 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fliess import Series, VectorSeries, compose
+import fliess.inversion
+from fliess import (
+    MatrixSeries,
+    Series,
+    VectorSeries,
+    compose,
+    group_inverse,
+    shuffle,
+    shuffle_inverse,
+)
 from fliess.errors import (
+    ConvergenceError,
     MapFormatError,
     MatchingConditionError,
     NoRelativeDegreeError,
+    NonFiniteError,
+    SingularConstantTermError,
     SingularDecouplingError,
 )
 from fliess.inversion import (
@@ -18,6 +32,7 @@ from fliess.inversion import (
     tracking_error_series,
 )
 from fliess.realization import generating_series
+from fliess.series import constant_term_inverse, drift_word, left_shift
 from fliess.vehicle import augmented_realization
 
 from test_realization import double_integrator
@@ -159,3 +174,117 @@ class TestLeftInvert:
         u_bad = TaylorOutput([u_rec.coeffs[0] + 0.1, u_rec.coeffs[1]])
         err_bad = tracking_error_series(c, u_bad, y_ref, degree)
         assert np.max(np.abs(err_bad)) > 1e-4
+
+
+def literal_left_invert(c, c_y, degree):
+    """The inversion formula computed in the full algebra: the natural part of
+    the group inverse of C^sh-1 sh w (no precondition checks)."""
+    m = c.alphabet_size - 1
+    orders = relative_degree(c).orders
+    c_matrix = MatrixSeries(
+        [
+            [left_shift(drift_word(r - 1) + (j,), c[i]).truncate(degree) for j in range(1, m + 1)]
+            for i, r in enumerate(orders)
+        ]
+    )
+    w = VectorSeries(
+        [
+            left_shift(drift_word(r), c[i] - c_y.channel(i, c.alphabet_size, c.max_degree)).truncate(degree)
+            for i, r in enumerate(orders)
+        ]
+    )
+    e = group_inverse(shuffle(shuffle_inverse(c_matrix, degree), w, degree), degree)
+    return np.array([e[j].taylor_coeffs(degree + 1) for j in range(m)])
+
+
+def random_square_plant(rng, orders, degree, decoupling=None, n_forced=10):
+    """Plant series with the given vector relative degree plus a matching reference.
+
+    Component i carries a full drift part, the linear words x0^(r_i-1) x_j
+    with coefficients decoupling[i][j-1], and random forced words of
+    length at least r_i + 1 that start with x0^(r_i-1).
+    """
+    m = len(orders)
+    top = degree + max(orders)
+    if decoupling is None:
+        decoupling = rng.uniform(-2.0, 2.0, size=(m, m)) + 2.0 * np.eye(m)
+    comps, ref = [], []
+    for i, r in enumerate(orders):
+        terms = {drift_word(k): rng.uniform(-1.0, 1.0) for k in range(top + 1)}
+        for _ in range(n_forced if top - r >= 1 else 0):
+            tail = rng.integers(0, m + 1, size=rng.integers(2, top - r + 2))
+            if not tail.any():
+                tail[0] = rng.integers(1, m + 1)
+            terms[drift_word(r - 1) + tuple(int(a) for a in tail)] = rng.uniform(-1.0, 1.0)
+        for j in range(m):
+            terms[drift_word(r - 1) + (j + 1,)] = decoupling[i, j]
+        comps.append(Series(m + 1, top, terms))
+        y = rng.uniform(-1.0, 1.0, size=top + 1)
+        y[:r] = [terms[drift_word(k)] for k in range(r)]  # matching conditions
+        ref.append(y)
+    return VectorSeries(comps), TaylorOutput(ref)
+
+
+class TestDriftOnlyInversion:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orders=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        degree=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_literal_formula_on_random_plants(self, orders, degree, seed):
+        rng = np.random.default_rng(seed)
+        c, c_y = random_square_plant(rng, orders, degree)
+        assert relative_degree(c).orders == orders
+        got = np.array(left_invert(c, c_y, degree).coeffs)
+        want = literal_left_invert(c, c_y, degree)
+        assert got.shape == want.shape == (len(orders), degree + 1)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * max(1.0, np.max(np.abs(want))))
+
+    def test_equals_literal_formula_on_car(self):
+        c = car_series(degree=6)
+        y = c.natural_part()
+        y_ref = TaylorOutput.from_series(y, 6)
+        y_ref.coeffs[0][2:] += [0.5, -1.0, 0.25, 2.0, -0.5]
+        y_ref.coeffs[1][2:] += [-0.3, 0.7, 1.5, -2.0, 0.1]
+        got = np.array(left_invert(c, y_ref, 4).coeffs)
+        want = literal_left_invert(c, y_ref, 4)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+    def test_singular_decoupling_rejected(self, rng):
+        c, c_y = random_square_plant(rng, [1, 2], 3, decoupling=np.array([[1.0, 2.0], [0.5, 1.0]]))
+        with pytest.raises(SingularDecouplingError):
+            left_invert(c, c_y, 3)
+
+    def test_singular_constant_term_rejected(self, rng, monkeypatch):
+        c, c_y = random_square_plant(rng, [1, 2], 3, decoupling=np.array([[1.0, 2.0], [0.5, 1.0]]))
+        # past the decoupling rank test, the shuffle inverse's own check still holds
+        monkeypatch.setattr(
+            fliess.inversion,
+            "relative_degree",
+            lambda c: RelativeDegree(orders=[1, 2], decoupling=np.array([[1.0, 2.0], [0.5, 1.0]])),
+        )
+        with pytest.raises(SingularConstantTermError):
+            left_invert(c, c_y, 3)
+        with pytest.raises(SingularConstantTermError):
+            constant_term_inverse(np.zeros((2, 2)))
+
+    def test_unsettled_fixed_point_raises(self, rng, monkeypatch):
+        c, c_y = random_square_plant(rng, [2, 1], 3)
+        sweep = fliess.inversion._drift_sweep
+        calls = []
+
+        def drifting(plan, u):
+            calls.append(1)
+            return sweep(plan, u) + len(calls)
+
+        monkeypatch.setattr(fliess.inversion, "_drift_sweep", drifting)
+        with pytest.raises(ConvergenceError):
+            left_invert(c, c_y, 3)
+
+    def test_overflow_raises_non_finite(self):
+        # u = -w / a with w = -1e300 and a = 1e-10 overflows
+        c = VectorSeries([Series(2, 3, {(1,): 1e-10})])
+        c_y = TaylorOutput([[0.0, 1e300, 0.0, 0.0]])
+        with pytest.raises(NonFiniteError):
+            left_invert(c, c_y, 1)

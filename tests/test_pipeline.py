@@ -262,3 +262,12 @@ class TestCli:
         dump_json(Series(2, 4, {(1,): 1.0}), a)  # zero constant term
         assert main(["series", "shinverse", "--in", str(a), "--out", str(tmp_path / "o")]) == 4
         capsys.readouterr()
+
+    def test_exit_code_4_for_non_finite_coefficient(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        # json writes the non-standard NaN literal and reads it back as float('nan')
+        a.write_text(
+            json.dumps({"alphabet_size": 2, "max_degree": 3, "terms": [{"word": [1], "coeff": math.nan}]})
+        )
+        assert main(["series", "shuffle", "--in", str(a), "--in2", str(a), "--out", str(tmp_path / "o")]) == 4
+        assert "nan" in capsys.readouterr().err

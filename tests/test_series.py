@@ -10,13 +10,13 @@ from fliess import (
     AlphabetMismatchError,
     MapFormatError,
     MatrixSeries,
+    NonFiniteError,
     Series,
     SingularConstantTermError,
     VectorSeries,
     catenate,
     left_shift,
     letter_prefixed,
-    natural_forced_split,
     shuffle,
     shuffle_inverse,
     shuffle_power,
@@ -55,6 +55,18 @@ class TestConstruction:
         s = Series(2, 2, {(0, 0, 0): 5.0, (1,): 1e-16, (0,): 2.0})
         assert s.support() == {(0,)}
         assert s.coeff((0,)) == 2.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            Series(2, 3, {(1,): bad})
+        # also on a word the truncation would drop
+        with pytest.raises(NonFiniteError):
+            Series(2, 1, {(0, 0): bad})
+        with pytest.raises(NonFiniteError):
+            Series.from_json_dict(
+                {"alphabet_size": 2, "max_degree": 3, "terms": [{"word": [1], "coeff": bad}]}
+            )
 
     def test_duplicate_words_accumulate(self):
         s = Series(2, 3, [((0,), 1.0), ((0,), 2.5)])
@@ -110,12 +122,12 @@ class TestLinear:
         t = a.truncate(2)
         assert t.max_degree == 2
         assert all(len(w) <= 2 for w in t.support())
-        up = t.with_degree(6)
+        up = t.truncate(6)
         assert up.max_degree == 6 and up.truncate(2) == t
 
     def test_split_partition(self, rng):
         a = random_series(rng, 3, 4)
-        nat, forced = natural_forced_split(a)
+        nat, forced = a.natural_part(), a.forced_part()
         assert nat + forced == a
         assert all(not any(w) for w in nat.support())
         assert all(any(w) for w in forced.support())
