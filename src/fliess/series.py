@@ -6,8 +6,9 @@ is reserved for the drift direction throughout the library, letters
 1..m for the inputs.  Series are truncated: words longer than
 max_degree are never stored, and coefficients with magnitude below
 1e-15 are dropped after every arithmetic step so zero stays canonical.
-The public constructor rejects NaN and infinite coefficients with
-NonFiniteError, so they cannot pass that filter as zeros.
+The public constructor, addition and scalar multiplication reject NaN
+and infinite coefficients with NonFiniteError, so they cannot pass
+that filter as zeros.
 
 Truncation degree is a property of each operation call.  When the
 degree argument is omitted an operation uses the smallest operand
@@ -54,6 +55,15 @@ def word_str(word):
 def drift_word(k):
     """The word x0^k."""
     return (0,) * k
+
+
+def _reject_infinite(terms, what):
+    """Raise NonFiniteError if an arithmetic result holds an infinite
+    coefficient.  A NaN result fails the EPS filter instead, so the
+    branch that drops a term checks for it."""
+    if terms and max(map(abs, terms.values())) == math.inf:
+        word = next(w for w, c in terms.items() if abs(c) == math.inf)
+        raise NonFiniteError(f"coefficient of {word_str(word)} is {terms[word]!r} in a {what}")
 
 
 def _clean(terms, max_degree):
@@ -181,8 +191,11 @@ class Series:
             c = out.get(w, 0.0) + c
             if abs(c) > EPS:
                 out[w] = c
+            elif c != c:
+                raise NonFiniteError(f"coefficient of {word_str(w)} is nan in a sum")
             else:
                 out.pop(w, None)
+        _reject_infinite(out, "sum")
         return Series._raw(self.alphabet_size, deg, out)
 
     def __sub__(self, other):
@@ -202,6 +215,9 @@ class Series:
             c = c * scalar
             if abs(c) > EPS:
                 out[w] = c
+            elif c != c:
+                raise NonFiniteError(f"coefficient of {word_str(w)} is nan in a scalar product")
+        _reject_infinite(out, "scalar product")
         return Series._raw(self.alphabet_size, self.max_degree, out)
 
     __rmul__ = __mul__

@@ -271,3 +271,12 @@ class TestCli:
         )
         assert main(["series", "shuffle", "--in", str(a), "--in2", str(a), "--out", str(tmp_path / "o")]) == 4
         assert "nan" in capsys.readouterr().err
+
+    def test_exit_code_4_for_overflow_in_series_arithmetic(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        # A0^-1 = 1e10 scales the 1e300 coefficient past the float range
+        dump_json(Series(2, 3, {(): 1e-10, (1,): 1e300}), a)
+        out = tmp_path / "o"
+        assert main(["series", "shinverse", "--in", str(a), "--out", str(out)]) == 4
+        assert "inf" in capsys.readouterr().err
+        assert not out.exists()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from fliess import Series, symexpr as se
-from fliess.errors import SimulationError
+from fliess.errors import EvaluationError, SimulationError
 from fliess.realization import (
     ControlSignal,
     Realization,
+    Trajectory,
     fliess_eval,
     generating_series,
     growth_estimate,
@@ -63,10 +64,25 @@ class TestGeneratingSeries:
         terms = c.terms_dict()
         assert terms == {(2, 1): 1.0}
 
+    def test_pole_raises_evaluation_error(self):
+        # dz1 = 1/z1 has a pole at the initial state z1 = 0
+        r = Realization(fields=[[se.ONE / se.var(0)]], outputs=[se.var(0)], z0=(0.0,))
+        with pytest.raises(EvaluationError):
+            generating_series(r, 3)
+
+    def test_car_series_equals_validated_construction(self):
+        c = generating_series(augmented_realization((0.4, -0.3, 0.2, 0.5, 1.7)), 8)
+        for comp in c:
+            checked = Series(comp.alphabet_size, comp.max_degree, comp.terms_dict())
+            assert (checked.alphabet_size, checked.max_degree) == (3, 8)
+            assert list(checked.terms_dict().items()) == list(comp.terms_dict().items())
+
     def test_alphabet_and_degree(self):
         c = generating_series(double_integrator(), 3)
         assert c.alphabet_size == 2
         assert c.max_degree == 3
+        with pytest.raises(ValueError):
+            generating_series(double_integrator(), -1)
 
     def test_car_low_order_closed_forms(self, rng):
         z30, z40 = 0.35, -0.4
@@ -190,6 +206,84 @@ class TestFliessEval:
             fliess_eval(c, np.ones((1, grid.size)), grid)
 
 
+def literal_rk4_simulate(realization, u, horizon, steps):
+    """RK4 on numpy state vectors with the input evaluated at every stage."""
+    n = realization.n_states
+    m = realization.n_inputs
+    raw = se.compile_expr([e for col in realization.fields for e in col], n)
+    out_fn = se.compile_expr(list(realization.outputs), n)
+
+    def field_fn(z, uv):
+        vals = raw(z)
+        out = vals[:n]
+        for i in range(m):
+            gi = vals[(i + 1) * n : (i + 2) * n]
+            ui = uv[i]
+            out = [a + ui * b for a, b in zip(out, gi)]
+        return out
+
+    def rhs(t, z):
+        uv = u.eval(t) if m else np.zeros(0)
+        return np.array(field_fn(z, uv))
+
+    h = horizon / steps
+    times = np.linspace(0.0, horizon, steps + 1)
+    states = np.empty((steps + 1, n))
+    states[0] = realization.z0
+    z = np.array(realization.z0, dtype=float)
+    for k in range(steps):
+        t = times[k]
+        k1 = rhs(t, z)
+        k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
+        k4 = rhs(t + h, z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(z)):
+            raise SimulationError(times[k + 1])
+        states[k + 1] = z
+    outputs = np.array([out_fn(s) for s in states])
+    return Trajectory(times=times, states=states, outputs=outputs)
+
+
+def assert_same_trajectory(realization, u, horizon, steps):
+    got = rk4_simulate(realization, u, horizon, steps)
+    want = literal_rk4_simulate(realization, u, horizon, steps)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.outputs, want.outputs)
+
+
+class TestRk4AgainstLiteral:
+    def test_extended_car_taylor_input(self):
+        r = augmented_realization((0.4, -0.3, 0.2, 0.5, 1.7))
+        u = ControlSignal.from_taylor(
+            [[0.3, -1.2, 4.0, 0.5, -7.0, 2.0, 11.0], [1.1, 0.2, -3.0, 6.5, 0.1, -9.0, 3.0]],
+            horizon=0.02,
+        )
+        assert_same_trajectory(r, u, 0.02, 80)
+
+    def test_sampled_input(self):
+        r = car_realization((0.0, 0.0, 0.1, 0.2))
+        times = np.linspace(0.0, 0.3, 13)  # sample points fall between stage times
+        u = ControlSignal.from_samples(times, [1.0 + np.sin(times), 0.3 * np.cos(5.0 * times)])
+        assert_same_trajectory(r, u, 0.3, 50)
+
+    def test_drift_only_realization(self):
+        r = Realization(fields=[[-se.power(se.var(0), 2)]], outputs=[se.var(0)], z0=(1.0,))
+        assert_same_trajectory(r, None, 1.0, 40)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_zero_division_maps_to_step_end(self):
+        # dz1 = 1/z2 with z2 held at 0: the first stage divides by zero
+        r = Realization(
+            fields=[[se.ONE / se.var(1), se.ZERO]], outputs=[se.var(0)], z0=(0.0, 0.0)
+        )
+        for simulate in (rk4_simulate, literal_rk4_simulate):
+            with pytest.raises(SimulationError, match="non-finite state at t=0.1") as info:
+                simulate(r, None, 1.0, 10)
+            assert info.value.time == np.linspace(0.0, 1.0, 11)[1]
+
+
 class TestSimulation:
     def test_rk4_fourth_order_convergence(self):
         # dz = -z^2 with z(0) = 1 has closed form 1/(1+t)
@@ -208,8 +302,10 @@ class TestSimulation:
         r = Realization(
             fields=[[se.power(se.var(0), 2)]], outputs=[se.var(0)], z0=(3.0,)
         )
-        with pytest.raises(SimulationError):
-            rk4_simulate(r, None, 2.0, 20)
+        for simulate in (rk4_simulate, literal_rk4_simulate):
+            with pytest.raises(SimulationError, match="non-finite state at t=0.6") as info:
+                simulate(r, None, 2.0, 20)
+            assert info.value.time == np.linspace(0.0, 2.0, 21)[6]  # t = 0.6
 
     def test_car_against_fliess_series(self):
         init = (0.0, 0.0, 0.0, 0.2)

@@ -117,6 +117,27 @@ class TestLinear:
         with pytest.raises(AlphabetMismatchError):
             Series.unit(2, 3) + Series.unit(3, 3)
 
+    def test_scalar_product_overflow_raises(self):
+        with pytest.raises(NonFiniteError):
+            Series(2, 3, {(1,): 1e300}) * 1e10
+        with pytest.raises(NonFiniteError):
+            Series(2, 3, {(1,): 1.0}) * math.nan
+
+    def test_sum_overflow_raises(self):
+        a = Series(2, 3, {(1,): 1e308})
+        with pytest.raises(NonFiniteError):
+            a + a
+
+    def test_infinity_cannot_cancel_to_zero(self):
+        # the shuffle kernel's output is unchecked, so b holds an inf
+        a = Series(2, 3, {(1,): 1e300})
+        b = shuffle(a, a)
+        assert b.coeff((1, 1)) == math.inf
+        with pytest.raises(NonFiniteError):
+            b + (-1.0) * b
+        with pytest.raises(NonFiniteError):
+            b + Series._raw(2, 3, {(1, 1): -math.inf})  # inf - inf = nan
+
     def test_truncate_and_relabel(self, rng):
         a = random_series(rng, 3, 5)
         t = a.truncate(2)
