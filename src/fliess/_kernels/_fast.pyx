@@ -6,6 +6,10 @@ The algorithm and iteration order are identical so both backends
 produce bit-identical floats.
 """
 
+import math
+
+from fliess.errors import NonFiniteError
+
 BACKEND = "cython"
 
 cdef double _EPS = 1e-15
@@ -41,8 +45,9 @@ cdef dict _shuffle_words(tuple u, tuple v):
 def shuffle_terms(dict a, dict b, int max_degree):
     """Shuffle product of two sparse coefficient maps, truncated."""
     cdef dict out = {}
+    cdef dict kept = {}
     cdef tuple ua, ub, w
-    cdef double ca, cb, prod, acc
+    cdef double ca, cb, prod, acc, c
     cdef int la
     cdef object mult
     for ua, ca in a.items():
@@ -56,7 +61,14 @@ def shuffle_terms(dict a, dict b, int max_degree):
             for w, mult in _shuffle_words(ua, ub).items():
                 acc = out.get(w, 0.0) + prod * mult
                 out[w] = acc
-    return {w: c for w, c in out.items() if abs(c) > _EPS}
+    for w, c in out.items():
+        if abs(c) > _EPS:
+            kept[w] = c
+        elif c != c:
+            raise NonFiniteError(f"coefficient of word {w} is nan in a shuffle product")
+    if kept and max(map(abs, kept.values())) == math.inf:
+        raise NonFiniteError("coefficient overflowed to inf in a shuffle product")
+    return kept
 
 
 def clear_cache():

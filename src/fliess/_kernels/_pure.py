@@ -10,6 +10,10 @@ products, composition products, and the sectioned car pipeline, and
 the cached values are exact integer multiplicities.
 """
 
+import math
+
+from fliess.errors import NonFiniteError
+
 BACKEND = "python"
 
 _EPS = 1e-15
@@ -44,7 +48,9 @@ def shuffle_terms(a, b, max_degree):
     """Shuffle product of two sparse coefficient maps, truncated.
 
     a, b: dict word-tuple -> float.  Returns a new dict with
-    |coefficient| <= 1e-15 entries dropped.
+    |coefficient| <= 1e-15 entries dropped.  Raises NonFiniteError when
+    a coefficient overflows to inf or turns NaN (a NaN would fail the
+    filter and vanish as a zero).
     """
     out = {}
     for ua, ca in a.items():
@@ -58,7 +64,15 @@ def shuffle_terms(a, b, max_degree):
             for w, mult in _shuffle_words(ua, ub).items():
                 acc = out.get(w, 0.0) + prod * mult
                 out[w] = acc
-    return {w: c for w, c in out.items() if abs(c) > _EPS}
+    kept = {}
+    for w, c in out.items():
+        if abs(c) > _EPS:
+            kept[w] = c
+        elif c != c:
+            raise NonFiniteError(f"coefficient of word {w} is nan in a shuffle product")
+    if kept and max(map(abs, kept.values())) == math.inf:
+        raise NonFiniteError("coefficient overflowed to inf in a shuffle product")
+    return kept
 
 
 def clear_cache():

@@ -18,8 +18,8 @@ degree: degree k of e is final after k+1 sweeps.
 
 from __future__ import annotations
 
-from fliess.errors import AlphabetMismatchError, ConvergenceError
-from fliess.series import EPS, Series, VectorSeries
+from fliess.errors import AlphabetMismatchError, ConvergenceError, NonFiniteError
+from fliess.series import EPS, Series, VectorSeries, _reject_infinite, word_str
 from fliess import _kernels
 
 
@@ -87,7 +87,14 @@ def _accumulate(c, images, degree, alphabet):
             continue
         for u, cu in images[w].items():
             acc[u] = acc.get(u, 0.0) + coeff * cu
-    return Series._raw(alphabet, degree, {u: v for u, v in acc.items() if abs(v) > EPS})
+    out = {}
+    for u, v in acc.items():
+        if abs(v) > EPS:
+            out[u] = v
+        elif v != v:
+            raise NonFiniteError(f"coefficient of {word_str(u)} is nan in a composition product")
+    _reject_infinite(out, "composition product")
+    return Series._raw(alphabet, degree, out)
 
 
 def _compose_scalar(c, d, degree, modified):

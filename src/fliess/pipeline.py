@@ -268,11 +268,10 @@ def run_pipeline(obstacle_map, cfg=None, outdir=None):
     reports = track_spline(spline, cfg)
     trajectory = _concat_trajectories(reports)
 
-    sim_points = [tuple(p) for p in trajectory.outputs]
-    collision_free = obstacle_map.polyline_free(sim_points)
+    collision_free = obstacle_map.polyline_free(trajectory.outputs)
     end = trajectory.outputs[-1]
     goal_distance = float(math.hypot(end[0] - obstacle_map.goal[0], end[1] - obstacle_map.goal[1]))
-    plan_all = np.array([spline.value(t) for t in trajectory.times])
+    plan_all = spline.value(trajectory.times)
     total_rms = float(np.sqrt(np.mean(np.sum((trajectory.outputs - plan_all) ** 2, axis=1))))
     report = PipelineReport(
         config=cfg,

@@ -7,10 +7,17 @@ coefficients and in the series convention (coefficient of x0^k equals
 k! times the monomial coefficient), plus the initial state of the
 extended car model that matches the section's value and slope at its
 start.  The vehicle is treated as a point.
+
+Checking a long polyline (the simulated car path) against the map runs
+a numpy broad phase first: a vectorised bounds test on every point, and
+a box test that keeps, per obstacle, only the segments whose bounding
+box meets the obstacle's padded box.  Those few segments go to the
+exact predicates, so the decision equals the segment-by-segment check.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +30,11 @@ from fliess.inversion import TaylorOutput
 from fliess.vehicle import CarParams, SectionInit, solve_first_order_match
 
 _FACTORIALS = (1.0, 1.0, 2.0, 6.0)
+
+# Relative padding of an obstacle's box in the polyline broad phase.  The
+# predicates' rounded closest points and ray crossings stray outside the
+# exact box by a few ulps of the largest coordinate; this is far above it.
+_BOX_PAD = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +94,33 @@ def _segment_segment_distance(p1, p2, q1, q2):
     )
 
 
+def _edge_crossings(a, b, vertices):
+    """Mask of segments a[i]->b[i] that the proper-crossing branch of
+    _segments_intersect reports as crossing some polygon edge.
+
+    The orientations are the same float operations as _orient, so the
+    mask is exact.  Rounding lets that branch report a crossing between
+    nearly collinear segments that lie apart along their common line,
+    so these segments are candidates whatever their boxes.
+    """
+    e1 = np.asarray(vertices, dtype=float)
+    e2 = np.roll(e1, -1, axis=0)
+    # rows are edges, columns segments
+    e1x, e1y, e2x, e2y = (c[:, None] for c in (e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1]))
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    ex, ey = e2x - e1x, e2y - e1y
+    d1 = ex * (ay - e1y) - ey * (ax - e1x)
+    d2 = ex * (by - e1y) - ey * (bx - e1x)
+    sx, sy = bx - ax, by - ay
+    d3 = sx * (e1y - ay) - sy * (e1x - ax)
+    d4 = sx * (e2y - ay) - sy * (e2x - ax)
+    proper = (
+        ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0)
+        & ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
+    )
+    return proper.any(axis=0)
+
+
 def _point_in_polygon(p, vertices):
     x, y = p
     inside = False
@@ -110,6 +149,12 @@ class Circle:
 
     def collides_segment(self, a, b, margin=0.0):
         return _point_segment_distance(self.center, a, b) <= self.radius + margin
+
+    def box(self, margin=0.0):
+        """(xmin, ymin, xmax, ymax) outside which nothing collides."""
+        reach = self.radius + margin
+        cx, cy = self.center
+        return (cx - reach, cy - reach, cx + reach, cy + reach)
 
     def to_json_dict(self):
         return {"type": "circle", "center": list(self.center), "radius": self.radius}
@@ -141,6 +186,16 @@ class Polygon:
             elif _segments_intersect(a, b, e1, e2):
                 return True
         return False
+
+    def box(self, margin=0.0):
+        """(xmin, ymin, xmax, ymax) outside which nothing collides.
+
+        A segment outside it can still be reported as crossing an edge
+        by orientation rounding; see _edge_crossings.
+        """
+        xs = [v[0] for v in self.vertices]
+        ys = [v[1] for v in self.vertices]
+        return (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
 
     def to_json_dict(self):
         return {"type": "polygon", "vertices": [list(v) for v in self.vertices]}
@@ -182,10 +237,44 @@ class ObstacleMap:
         return not any(ob.collides_segment(a, b, margin) for ob in self.obstacles)
 
     def polyline_free(self, points, margin=0.0):
-        return all(
-            self.segment_free(points[i], points[i + 1], margin)
-            for i in range(len(points) - 1)
+        """True when every segment of the polyline is segment_free.
+
+        Every point gets the in_bounds comparisons at once.  Then, per
+        obstacle, a segment reaches the exact collides_segment only when
+        its bounding box meets the obstacle's box padded by _BOX_PAD
+        times the largest coordinate in play, or when it is an
+        _edge_crossings candidate of a polygon.  A pair is dropped only
+        when a comparison proves the boxes apart, so NaN boxes keep
+        every segment.
+        """
+        if len(points) < 2:
+            return True
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[:, 0], pts[:, 1]
+        xmin, ymin, xmax, ymax = self.bounds
+        inside = (
+            (xmin + margin <= x) & (x <= xmax - margin) & (ymin + margin <= y) & (y <= ymax - margin)
         )
+        if not inside.all():
+            return False
+        a, b = pts[:-1], pts[1:]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        scale = float(np.abs(pts).max())
+        for ob in self.obstacles:
+            box = ob.box(margin)
+            pad = _BOX_PAD * (1.0 + max(scale, *map(abs, box)))
+            near = ~(
+                (hi[:, 0] < box[0] - pad)
+                | (hi[:, 1] < box[1] - pad)
+                | (lo[:, 0] > box[2] + pad)
+                | (lo[:, 1] > box[3] + pad)
+            )
+            if isinstance(ob, Polygon):
+                near |= _edge_crossings(a, b, ob.vertices)
+            for i in np.flatnonzero(near):
+                if ob.collides_segment(tuple(a[i].tolist()), tuple(b[i].tolist()), margin):
+                    return False
+        return True
 
     def validate(self, margin=0.0):
         if not self.point_free(self.start, margin):
@@ -418,8 +507,30 @@ class PathSpline:
         raise ValueError("empty spline")
 
     def value(self, t):
-        i, local = self.locate(t)
-        return self.sections[i].value(local)
+        """Value at time t, shape (2,); shape (len(t), 2) for an array of times.
+
+        An array takes the sections and local times locate would give,
+        from the same comparisons and float operations, and one
+        polyval per section.
+        """
+        if np.ndim(t) == 0:
+            i, local = self.locate(t)
+            return self.sections[i].value(local)
+        t = np.asarray(t, dtype=float)
+        durations = np.array([s.duration for s in self.sections])
+        ends = np.fromiter(itertools.accumulate(durations.tolist()), float, len(durations))
+        hit = t[:, None] <= ends
+        idx = np.where(hit.any(axis=1), hit.argmax(axis=1), len(ends) - 1)
+        starts = np.concatenate([[0.0], ends[:-1]])
+        local = t - starts[idx]
+        local = np.where(0.0 > local, 0.0, local)  # max(local, 0.0)
+        local = np.where(durations[idx] < local, durations[idx], local)  # min(local, duration)
+        out = np.empty((len(t), 2))
+        for i, section in enumerate(self.sections):
+            sel = idx == i
+            if sel.any():
+                out[sel] = section.value(local[sel]).T
+        return out
 
     def derivative(self, t):
         i, local = self.locate(t)

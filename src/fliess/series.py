@@ -6,9 +6,10 @@ is reserved for the drift direction throughout the library, letters
 1..m for the inputs.  Series are truncated: words longer than
 max_degree are never stored, and coefficients with magnitude below
 1e-15 are dropped after every arithmetic step so zero stays canonical.
-The public constructor, addition and scalar multiplication reject NaN
-and infinite coefficients with NonFiniteError, so they cannot pass
-that filter as zeros.
+The public constructor, addition, scalar multiplication, the shuffle
+kernel and the composition products reject NaN and infinite
+coefficients with NonFiniteError, so they cannot pass that filter as
+zeros.
 
 Truncation degree is a property of each operation call.  When the
 degree argument is omitted an operation uses the smallest operand
@@ -64,14 +65,6 @@ def _reject_infinite(terms, what):
     if terms and max(map(abs, terms.values())) == math.inf:
         word = next(w for w, c in terms.items() if abs(c) == math.inf)
         raise NonFiniteError(f"coefficient of {word_str(word)} is {terms[word]!r} in a {what}")
-
-
-def _clean(terms, max_degree):
-    out = {}
-    for w, c in terms.items():
-        if len(w) <= max_degree and abs(c) > EPS:
-            out[w] = c
-    return out
 
 
 class Series:

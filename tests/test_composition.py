@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fliess import (
     AlphabetMismatchError,
     DeltaSeries,
+    NonFiniteError,
     Series,
     VectorSeries,
     compose,
@@ -85,6 +86,22 @@ class TestComposeRecursion:
         out = compose(c, d, 4)
         assert isinstance(out, VectorSeries) and len(out) == 2
         assert out[0] == compose(c[0], d, 4)
+
+
+class TestNonFinite:
+    def test_overflow_raises(self):
+        # the image of x1 is 1e300 x0, so x0 gets 1e300 * 1e300
+        c = Series(2, 2, {(1,): 1e300})
+        d = VectorSeries([Series(2, 2, {(): 1e300})])
+        with pytest.raises(NonFiniteError, match="inf in a composition"):
+            compose(c, d)
+
+    def test_nan_raises(self):
+        # x0 collects 1e300 * 1e300 from x1 and 1e300 * -1e300 from x2
+        c = Series(3, 2, {(1,): 1e300, (2,): 1e300})
+        d = VectorSeries([Series(3, 2, {(): 1e300}), Series(3, 2, {(): -1e300})])
+        with pytest.raises(NonFiniteError, match="nan in a composition"):
+            compose(c, d)
 
 
 class TestModifiedCompose:

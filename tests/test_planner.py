@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fliess.errors import MapFormatError, PlanningError, SplineFitError
+from fliess.pipeline import PipelineConfig, run_pipeline
 from fliess.planner import (
     Circle,
     ObstacleMap,
@@ -28,6 +33,14 @@ from fliess.svgplot import SvgCanvas, draw_map
 
 def empty_map(start=(1.0, 1.0), goal=(9.0, 9.0)):
     return ObstacleMap(bounds=(0, 0, 10, 10), obstacles=(), start=start, goal=goal)
+
+
+def literal_polyline_free(obstacle_map, points, margin=0.0):
+    """Reference: every segment through segment_free, one by one."""
+    return all(
+        obstacle_map.segment_free(points[i], points[i + 1], margin)
+        for i in range(len(points) - 1)
+    )
 
 
 def walled_goal_map():
@@ -154,6 +167,142 @@ class TestObstacleMap:
         assert len(m.obstacles) == 6
 
 
+# Two collinear segments 0.2 apart along their line, which the orientation
+# test of _segments_intersect reports as crossing through rounding.
+ROUNDED_CROSSING = (
+    (1.125922989742822, -0.17016994768989996),
+    (0.3460887880566501, -0.6686270304512366),
+    (0.14165477152799721, -0.799297861860941),
+    (0.050516650481237324, -0.8575518366764739),
+)
+
+
+def assert_agrees(obstacle_map, points, margin=0.0):
+    got = obstacle_map.polyline_free(points, margin)
+    assert got == literal_polyline_free(obstacle_map, points, margin)
+    return got
+
+
+@st.composite
+def synthetic_maps(draw):
+    coord = st.floats(-4.0, 4.0)
+    circles = st.builds(Circle, st.tuples(coord, coord), st.floats(0.0, 2.0))
+    polygons = st.builds(
+        Polygon, st.lists(st.tuples(coord, coord), min_size=3, max_size=5).map(tuple)
+    )
+    obstacles = draw(st.lists(circles | polygons, max_size=4))
+    return ObstacleMap((-5, -5, 5, 5), obstacles, (0, 0), (1, 1))
+
+
+@st.composite
+def maps_with_polylines(draw):
+    """A map, a margin and a short polyline aimed at the broad phase's edges."""
+    m = draw(st.just(bundled_map()) | synthetic_maps())
+    margin = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 1.0))
+    xmin, ymin, xmax, ymax = m.bounds
+    edges = {xmin + margin, ymin + margin, xmax - margin, ymax - margin}
+    edges.update(v for ob in m.obstacles for v in ob.box(margin))
+    coord = (
+        st.floats(-10.0, 14.0)
+        | st.sampled_from(sorted(edges))
+        | st.sampled_from([math.nan, math.inf, -math.inf, 100.0])
+    )
+    point = st.tuples(coord, coord)
+    t = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-2.0, 3.0)
+    for ob in m.obstacles:
+        if isinstance(ob, Circle):
+            # tangent lines: one coordinate on the circle's reach
+            (cx, cy), reach = ob.center, ob.radius + margin
+            point |= st.builds(lambda s: (cx + s, cy + reach), t)
+            point |= st.builds(lambda s: (cx - reach, cy + s), t)
+        else:
+            # points on the line of an edge, inside and beyond it
+            for (x1, y1), (x2, y2) in ob._edges():
+                point |= st.builds(lambda s: (x1 + s * (x2 - x1), y1 + s * (y2 - y1)), t)
+    points = draw(st.lists(point, max_size=6))
+    return m, points, margin
+
+
+class TestPolylineBroadPhase:
+    @settings(max_examples=400, deadline=None)
+    @given(maps_with_polylines())
+    def test_same_decision_as_segment_loop(self, case):
+        m, points, margin = case
+        assert_agrees(m, points, margin)
+
+    def test_long_random_walks(self, rng):
+        maps = [bundled_map(), empty_map(), walled_goal_map()]
+        decisions = set()
+        for m in maps:
+            xmin, ymin, xmax, ymax = m.bounds
+            for margin in (0.0, 0.3):
+                for _ in range(60):
+                    start = rng.uniform((xmin, ymin), (xmax, ymax))
+                    walk = start + np.cumsum(rng.normal(scale=0.15, size=(80, 2)), axis=0)
+                    points = [tuple(p) for p in walk]
+                    decisions.add(assert_agrees(m, points, margin))
+        assert decisions == {True, False}
+
+    def test_degenerate_polylines(self):
+        m = bundled_map()
+        assert assert_agrees(m, [])
+        assert assert_agrees(m, [(100.0, 100.0)])  # one point is no segment
+        assert assert_agrees(m, [(0.0, 0.0), (0.0, 0.0)])
+        assert not assert_agrees(m, [(0.0, 0.0), (math.nan, 0.0)])
+        assert not assert_agrees(m, [(0.0, 0.0), (0.0, 12.5)])
+        assert not assert_agrees(m, [(0.0, 0.0), (0.0, 11.8)], margin=0.3)
+
+    def test_touching_cases(self):
+        circle = Circle((0.0, 0.0), 1.0)
+        square = Polygon(((2.0, -1.0), (3.0, -1.0), (3.0, 1.0), (2.0, 1.0)))
+        m = ObstacleMap((-5, -5, 5, 5), (circle, square), (0, 3), (4, 3))
+        assert not assert_agrees(m, [(-2.0, 1.0), (-1.0, 1.0), (1.0, 1.0)])  # tangent
+        assert assert_agrees(m, [(-2.0, 1.0 + 1e-12), (1.0, 1.0 + 1e-12)])
+        # collinear with an edge, touching its corner
+        assert not assert_agrees(m, [(3.0, 2.0), (3.0, 4.0), (3.0, 1.0)])
+        assert assert_agrees(m, [(3.0, 1.0 + 1e-12), (3.0, 4.0)])
+        assert not assert_agrees(m, [(-3.0, 1.3), (3.0, 1.3)], margin=0.3)  # on the padded box edge
+        assert assert_agrees(m, [(-3.0, 1.3 + 1e-12), (1.5, 1.3 + 1e-12)], margin=0.3)
+
+    def test_rounded_edge_crossing_is_kept(self):
+        p1, p2, q1, q2 = ROUNDED_CROSSING
+        assert _segments_intersect(p1, p2, q1, q2)
+        assert min(p1[0], p2[0]) - max(q1[0], q2[0]) > 0.2
+        wedge = Polygon((q1, q2, (0.0, -1.5)))
+        m = ObstacleMap((-2, -2, 2, 2), (wedge,), (0, 0), (1, 1))
+        assert not assert_agrees(m, [p1, p2])
+
+
+@pytest.fixture(scope="module")
+def seed42_run():
+    """The bundled-map pipeline at degree 6/4, planner seed 42."""
+    return run_pipeline(bundled_map(), PipelineConfig(series_degree=6, inversion_degree=4, seed=42))
+
+
+class TestSimulatedPath:
+    def test_free_and_blocked(self, seed42_run):
+        out = seed42_run.trajectory.outputs
+        points = [tuple(p) for p in out]
+        base = bundled_map()
+        assert base.polyline_free(out) and literal_polyline_free(base, points)
+        k = len(out) // 2
+        mid = (out[k] + out[k + 1]) / 2
+        along = (out[k + 1] - out[k]) / np.hypot(*(out[k + 1] - out[k]))
+        across = np.array([-along[1], along[0]])
+        # no simulated point falls inside the strip: it is crossed, not entered
+        corners = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+        strip = Polygon(tuple(tuple(mid + s * 0.2 * across + r * 1e-5 * along) for s, r in corners))
+        for extra in (Circle(tuple(mid), 0.01), strip):
+            m = ObstacleMap(base.bounds, base.obstacles + (extra,), base.start, base.goal)
+            assert not m.polyline_free(out)
+            assert not literal_polyline_free(m, points)
+        assert not any(strip.collides_point(p) for p in points)
+
+    def test_plan_at_trajectory_times(self, seed42_run):
+        spline, times = seed42_run.spline, seed42_run.trajectory.times
+        assert np.array_equal(spline.value(times), np.array([spline.value(t) for t in times]))
+
+
 class TestRrt:
     def test_finds_path_and_edges_are_free(self):
         m = bundled_map()
@@ -262,6 +411,27 @@ class TestPathSpline:
         i, local = sp.locate(sp.total_time + 5.0)
         assert i == sp.n_sections - 1
         assert local == pytest.approx(sp.sections[-1].duration)
+
+    def test_value_at_many_times_equals_per_time_loop(self):
+        sp = self.make()
+        uneven = PathSpline(
+            tuple(dataclasses.replace(s, duration=d) for s, d in zip(sp.sections, (0.1, 0.2, 0.7)))
+        )
+        for spline in (sp, uneven):
+            ends = [0.0, *itertools.accumulate(s.duration for s in spline.sections)]
+            ts = np.concatenate(
+                [
+                    np.linspace(-0.5, spline.total_time + 0.5, 101),
+                    ends,
+                    np.nextafter(ends, -np.inf),
+                    np.nextafter(ends, np.inf),
+                    [math.nan],
+                ]
+            )
+            want = np.array([spline.value(t) for t in ts])
+            got = spline.value(ts)
+            assert got.shape == want.shape == (len(ts), 2)
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_value_continuity_at_junctions(self):
         sp = self.make()

@@ -129,10 +129,10 @@ class TestLinear:
             a + a
 
     def test_infinity_cannot_cancel_to_zero(self):
-        # the shuffle kernel's output is unchecked, so b holds an inf
         a = Series(2, 3, {(1,): 1e300})
-        b = shuffle(a, a)
-        assert b.coeff((1, 1)) == math.inf
+        with pytest.raises(NonFiniteError, match="inf in a shuffle"):
+            shuffle(a, a)  # 2e600 overflows in the kernel output
+        b = Series._raw(2, 3, {(1, 1): math.inf})
         with pytest.raises(NonFiniteError):
             b + (-1.0) * b
         with pytest.raises(NonFiniteError):
@@ -165,6 +165,13 @@ class TestShuffle:
         xb = Series.monomial((2,), 3, 4)
         assert shuffle(xa, xb).terms_dict() == {(1, 2): 1.0, (2, 1): 1.0}
         assert shuffle(xa, xa).terms_dict() == {(1, 1): 2.0}
+
+    def test_nan_coefficient_raises(self):
+        # x1x2 collects -inf from x1 sh (-x2) and +inf from x2 sh x1
+        a = Series(3, 2, {(1,): 1e300, (2,): 1e300})
+        b = Series(3, 2, {(1,): 1e300, (2,): -1e300})
+        with pytest.raises(NonFiniteError, match="nan in a shuffle"):
+            shuffle(a, b)
 
     def test_drift_binomial_identity(self):
         for j in range(4):
