@@ -97,6 +97,14 @@ class TaylorOutput:
         mono = [c / np.array([math.factorial(k) for k in range(c.size)]) for c in self.coeffs]
         return np.array([np.polynomial.polynomial.polyval(t, c) for c in mono])
 
+    def padded(self, degree):
+        """Coefficients 0..degree as a (channels, degree+1) array, zero past the expansion."""
+        out = np.zeros((self.n_channels, degree + 1))
+        for i, c in enumerate(self.coeffs):
+            width = min(c.size, degree + 1)
+            out[i, :width] = c[:width]
+        return out
+
     def channel(self, i, alphabet_size, max_degree):
         """Channel i as a drift-only series."""
         return Series.from_taylor(self.coeffs[i], alphabet_size, max_degree)
@@ -317,16 +325,14 @@ def tracking_error_series(c, c_u, c_y, degree):
     differences c_y - (c o c_u) in series convention.  Coefficients
     through the inversion degree vanish by construction; the entries
     are exact as long as the plant series carries at least the
-    requested degree.
+    requested degree.  This is the reference computation in the series
+    algebra: the pipeline no longer calls it, and takes the same
+    residual from the realization with
+    ``fliess.realization.taylor_outputs`` instead.
     """
     if isinstance(c, Series):
         c = VectorSeries([c])
     u_embedded = c_u.as_vector_series(c.alphabet_size, degree)
     yhat = compose(c, u_embedded, degree)
-    out = np.zeros((len(c), degree + 1))
-    for i, comp in enumerate(yhat):
-        ref = c_y.coeffs[i]
-        for k in range(degree + 1):
-            want = ref[k] if k < ref.size else 0.0
-            out[i, k] = want - comp.coeff(drift_word(k))
-    return out
+    drift = np.array([[comp.coeff(drift_word(k)) for k in range(degree + 1)] for comp in yhat])
+    return c_y.padded(degree) - drift

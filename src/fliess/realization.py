@@ -20,7 +20,9 @@ The functional evaluator sums coefficient-weighted iterated integrals
 on a shared uniform grid (trapezoid rule, 2000 points per unit time by
 default); the ground-truth simulator is fixed-step classical
 Runge-Kutta, which evaluates the input once per step grid (step
-starts, midpoints and ends) and steps on plain floats.
+starts, midpoints and ends) and steps on plain floats.  Under
+polynomial inputs, Taylor-mode integration of the fields gives the
+output's Taylor coefficients at the initial state without the series.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fliess import symexpr
-from fliess.errors import MapFormatError, SimulationError
+from fliess.errors import EvaluationError, MapFormatError, SimulationError
 from fliess.series import EPS, Series, VectorSeries
 
 DEFAULT_GRID_DENSITY = 2000  # points per unit time
@@ -390,6 +392,57 @@ def rk4_simulate(realization, u, horizon, steps):
     states = np.array(states)
     outputs = np.array([out_fn(s) for s in states])
     return Trajectory(times=times, states=states, outputs=outputs)
+
+
+def taylor_outputs(realization, u, degree):
+    """Output Taylor coefficients through t^degree under polynomial inputs.
+
+    u[i][k] are series-convention input coefficients, u_i(t) = sum_k
+    u[i][k] t^k / k!.  Taylor-mode integration of the realization: with
+    the jets of z known through t^k, the jets of the fields give
+    coefficient k of dz/dt = g0(z) + sum_i g_i(z) u_i(t), so
+    z_{k+1} = [dz/dt]_k / (k+1).  The truncated generating series of
+    the same degree gives these coefficients exactly, so both agree up
+    to rounding.  Returns an (ell, degree+1) array in series convention
+    (row j holds y_j^(k)(0)).  Raises EvaluationError when a jet meets a
+    zero denominator, a zero base with a negative exponent, or a
+    non-finite value.
+    """
+    n, m = realization.n_states, realization.n_inputs
+    if len(u) != m:
+        raise ValueError(f"need {m} input expansions, got {len(u)}")
+    flat = [e for col in realization.fields for e in col]
+    tape = symexpr.JetTape(flat + list(realization.outputs), n)
+    jets = tape.jets
+    # per state: the drift's slot and the (input, slot) pairs of its
+    # nonzero input-field components
+    rows = [
+        (
+            tape.slots[s],
+            [(i, tape.slots[(i + 1) * n + s]) for i in range(m) if not flat[(i + 1) * n + s].is_const(0.0)],
+        )
+        for s in range(n)
+    ]
+    inputs = [[c / math.factorial(k) for k, c in enumerate(ui)] for ui in u]
+    for s, v in enumerate(realization.z0):
+        jets[s].append(v)
+    for k in range(degree + 1):
+        tape.step(k)
+        if k == degree:
+            break
+        for s, (drift, forced) in enumerate(rows):
+            acc = jets[drift][k]
+            for i, slot in forced:
+                ui, g = inputs[i], jets[slot]
+                acc += sum(ui[j] * g[k - j] for j in range(min(k + 1, len(ui))))
+            jets[s].append(acc / (k + 1))
+    out = [
+        [c * math.factorial(k) for k, c in enumerate(jets[slot])]
+        for slot in tape.slots[len(flat):]
+    ]
+    if not all(math.isfinite(c) for row in out for c in row):
+        raise EvaluationError("non-finite output Taylor coefficient")
+    return np.array(out)
 
 
 _FIELD_FN_CACHE = {}

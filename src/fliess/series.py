@@ -7,9 +7,9 @@ is reserved for the drift direction throughout the library, letters
 max_degree are never stored, and coefficients with magnitude below
 1e-15 are dropped after every arithmetic step so zero stays canonical.
 The public constructor, addition, scalar multiplication, the shuffle
-kernel and the composition products reject NaN and infinite
-coefficients with NonFiniteError, so they cannot pass that filter as
-zeros.
+kernel, the catenation and the composition products reject NaN and
+infinite coefficients with NonFiniteError, so they cannot pass that
+filter as zeros.
 
 Truncation degree is a property of each operation call.  When the
 degree argument is omitted an operation uses the smallest operand
@@ -574,7 +574,14 @@ def catenate(a, b, degree=None):
                 continue
             w = ua + ub
             out[w] = out.get(w, 0.0) + ca * cb
-    return Series._raw(a.alphabet_size, deg, {w: c for w, c in out.items() if abs(c) > EPS})
+    kept = {}
+    for w, c in out.items():
+        if abs(c) > EPS:
+            kept[w] = c
+        elif c != c:
+            raise NonFiniteError(f"coefficient of {word_str(w)} is nan in a catenation product")
+    _reject_infinite(kept, "catenation product")
+    return Series._raw(a.alphabet_size, deg, kept)
 
 
 def letter_prefixed(letter, s, degree):

@@ -375,6 +375,165 @@ def evaluate(e, z, memo=None):
     return v
 
 
+# ---------------------------------------------------------------------------
+# Taylor-mode evaluation
+#
+# A jet is the list of normalized Taylor coefficients x_0, x_1, ... of
+# x(t) = sum_k x_k t^k.  Each rule appends coefficient k of its node
+# from coefficients 0..k of its arguments and 0..k-1 of its own jets.
+
+
+def _jet_const(jets, out, args, value, k):
+    jets[out].append(value if k == 0 else 0.0)
+
+
+def _jet_add(jets, out, args, _, k):
+    jets[out].append(sum(jets[a][k] for a in args))
+
+
+def _jet_scale(jets, out, args, factor, k):
+    jets[out].append(factor * jets[args[0]][k])
+
+
+def _jet_mul(jets, out, args, _, k):
+    a, b = jets[args[0]], jets[args[1]]
+    jets[out].append(sum(a[j] * b[k - j] for j in range(k + 1)))
+
+
+def _jet_div(jets, out, args, _, k):
+    # q b = a, solved for q_k
+    a, b, q = jets[args[0]], jets[args[1]], jets[out]
+    if b[0] == 0.0:
+        raise EvaluationError("zero denominator in a Taylor jet")
+    q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0])
+
+
+def _jet_pow(jets, out, args, n, k):
+    # negative n; p' a = n a' p gives k a_0 p_k = sum_{j=1..k} ((n+1) j - k) a_j p_{k-j}
+    a, p = jets[args[0]], jets[out]
+    if k == 0:
+        if a[0] == 0.0:
+            raise EvaluationError("zero base with negative exponent in a Taylor jet")
+        p.append(a[0] ** n)
+    else:
+        p.append(sum(((n + 1) * j - k) * a[j] * p[k - j] for j in range(1, k + 1)) / (k * a[0]))
+
+
+def _jet_sincos(jets, out, args, cos_slot, k):
+    # s' = c a', c' = -s a'
+    a, s, c = jets[args[0]], jets[out], jets[cos_slot]
+    if k == 0:
+        s.append(math.sin(a[0]))
+        c.append(math.cos(a[0]))
+    else:
+        s.append(sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k)
+        c.append(-sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k)
+
+
+def _jet_tan(jets, out, args, sq_slot, k):
+    # t' = v a' with v = 1 + t^2
+    a, t, v = jets[args[0]], jets[out], jets[sq_slot]
+    if k == 0:
+        t.append(math.tan(a[0]))
+        v.append(1.0 + t[0] * t[0])
+    else:
+        t.append(sum(j * a[j] * v[k - j] for j in range(1, k + 1)) / k)
+        v.append(sum(t[j] * t[k - j] for j in range(k + 1)))
+
+
+class JetTape:
+    """Taylor-mode automatic differentiation of expressions along a state jet.
+
+    The nodes under ``exprs`` form one topologically ordered tape (see
+    Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+    ``jets[slot]`` is the coefficient list of one node; the first n_vars
+    slots are the state variables' jets, which the caller extends, and
+    ``slots[i]`` is the slot of ``exprs[i]``.  Products and positive
+    integer powers are split into binary Cauchy products, negative powers
+    take the power recurrence, sin and cos of one argument share a rule,
+    and tan carries 1 + tan^2 in a slot of its own.
+    """
+
+    def __init__(self, exprs, n_vars):
+        self.n_vars = n_vars
+        self.jets = [[] for _ in range(n_vars)]
+        self._code = []  # (rule, out slot, argument slots, parameter)
+        self._slots = {}
+        self._trig = {}  # argument slot -> (sin slot, cos slot)
+        self.slots = [self._emit(_coerce(e)) for e in exprs]
+
+    def _slot(self):
+        self.jets.append([])
+        return len(self.jets) - 1
+
+    def _new(self, rule, args, param=None):
+        out = self._slot()
+        self._code.append((rule, out, args, param))
+        return out
+
+    def _emit(self, e):
+        slot = self._slots.get(e._id)
+        if slot is not None:
+            return slot
+        k = e.kind
+        if k == VAR:
+            if e.value >= self.n_vars:
+                raise ValueError(f"variable z{e.value + 1} outside the jet's state dimension")
+            slot = e.value
+        elif k == CONST:
+            slot = self._new(_jet_const, (), e.value)
+        elif k == ADD:
+            slot = self._new(_jet_add, tuple(self._emit(a) for a in e.args))
+        elif k == MUL:
+            factor = 1.0
+            slot = None
+            for a in e.args:
+                if a.kind == CONST:
+                    factor *= a.value
+                    continue
+                a_slot = self._emit(a)
+                slot = a_slot if slot is None else self._new(_jet_mul, (slot, a_slot))
+            if factor != 1.0:
+                slot = self._new(_jet_scale, (slot,), factor)
+        elif k == DIV:
+            slot = self._new(_jet_div, (self._emit(e.args[0]), self._emit(e.args[1])))
+        elif k == POW and e.value > 0:
+            base = self._emit(e.args[0])
+            slot = base
+            for _ in range(e.value - 1):
+                slot = self._new(_jet_mul, (slot, base))
+        elif k == POW:
+            slot = self._new(_jet_pow, (self._emit(e.args[0]),), e.value)
+        elif k in (SIN, COS):
+            arg = self._emit(e.args[0])
+            pair = self._trig.get(arg)
+            if pair is None:
+                cos_slot = self._slot()
+                pair = (self._new(_jet_sincos, (arg,), cos_slot), cos_slot)
+                self._trig[arg] = pair
+            slot = pair[0] if k == SIN else pair[1]
+        else:
+            slot = self._new(_jet_tan, (self._emit(e.args[0]),), self._slot())
+        self._slots[e._id] = slot
+        return slot
+
+    def step(self, k):
+        """Append coefficient k to every node's jet.
+
+        The state jets must already hold coefficient k.  Raises
+        EvaluationError on a zero denominator, a zero base with a
+        negative exponent, or a non-finite coefficient.
+        """
+        jets = self.jets
+        try:
+            for rule, out, args, param in self._code:
+                rule(jets, out, args, param, k)
+        except (OverflowError, ValueError):
+            raise EvaluationError(f"non-finite value in a Taylor jet at order {k}") from None
+        if not all(math.isfinite(jet[k]) for jet in jets):
+            raise EvaluationError(f"non-finite value in a Taylor jet at order {k}")
+
+
 def compile_expr(exprs, n_vars):
     """Compile a list of expressions into one function z -> list of floats.
 

@@ -4,8 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import fliess._kernels
+import fliess.composition
+import fliess.inversion
+import fliess.pipeline
+from fliess import symexpr as se
 from fliess.cli import main
+from fliess.errors import ConvergenceError
+from fliess.inversion import left_invert, tracking_error_series
 from fliess.pipeline import (
+    IDENTITY_RTOL,
     PipelineConfig,
     run_pipeline,
     run_section,
@@ -13,7 +21,9 @@ from fliess.pipeline import (
     write_artifacts,
 )
 from fliess.planner import ObstacleMap, bundled_map, fit_spline, save_map
-from fliess.series import Series, dump_json
+from fliess.realization import Realization, generating_series, taylor_outputs
+from fliess.series import Series, VectorSeries, dump_json
+from fliess.vehicle import augmented_realization
 
 
 def fast_cfg(**overrides):
@@ -31,6 +41,12 @@ def fast_cfg(**overrides):
 
 def empty_map():
     return ObstacleMap(bounds=(0, 0, 10, 10), obstacles=(), start=(1, 1), goal=(9, 9))
+
+
+def curved_section():
+    theta = np.linspace(0.0, 0.8, 30)
+    arc = [(2 * math.sin(a), 2 * (1 - math.cos(a))) for a in theta]
+    return fit_spline(arc, 2, total_time=0.4).sections[0]
 
 
 class TestConfig:
@@ -71,11 +87,8 @@ class TestRunSection:
         assert np.array(report.error_series).shape == (2, cfg.series_degree + 1)
 
     def test_curved_section_tracks_well(self):
-        theta = np.linspace(0.0, 0.8, 30)
-        arc = [(2 * math.sin(a), 2 * (1 - math.cos(a))) for a in theta]
-        spline = fit_spline(arc, 2, total_time=0.4)
-        cfg = fast_cfg()
-        report = run_section(spline.sections[0], spline.sections[0].init, cfg)
+        section = curved_section()
+        report = run_section(section, section.init, fast_cfg())
         assert report.rms_tracking < 5e-4
         assert report.state_jump is None
 
@@ -85,6 +98,50 @@ class TestRunSection:
             spline.sections[0], spline.sections[0].init, fast_cfg(), state_jump=(0.1, -0.2)
         )
         assert report.state_jump == (0.1, -0.2)
+
+
+class TestIdentityGate:
+    """The gate integrates the realization; it does not trust the series."""
+
+    def test_error_series_matches_the_composition(self):
+        section, cfg = curved_section(), fast_cfg()
+        report = run_section(section, section.init, cfg)
+        c = generating_series(augmented_realization(section.init, cfg.params), cfg.series_degree)
+        c_y = section.taylor_output(constants=(section.init.z1, section.init.z2))
+        c_u = left_invert(c, c_y, cfg.inversion_degree)
+        want = tracking_error_series(c, c_u, c_y, cfg.series_degree)
+        scale = max(1.0, max(abs(v) for row in c_y.coeffs for v in row))
+        assert np.max(np.abs(np.array(report.error_series) - want)) <= 1e-9 * scale
+
+    def test_corrupted_table_entry_is_caught(self, monkeypatch):
+        section, cfg = curved_section(), fast_cfg()
+
+        def corrupted(realization, degree):
+            # one drift coefficient above the relative degree 2, off by 1
+            c = generating_series(realization, degree)
+            return VectorSeries([c[0] + Series.monomial((0, 0, 0), 3, degree), c[1]])
+
+        monkeypatch.setattr(fliess.pipeline, "generating_series", corrupted)
+        with pytest.raises(ConvergenceError, match="through degree 4"):
+            run_section(section, section.init, cfg)
+        # composing the corrupted series with its own inverse misses the fault
+        c = corrupted(augmented_realization(section.init, cfg.params), cfg.series_degree)
+        c_y = section.taylor_output(constants=(section.init.z1, section.init.z2))
+        c_u = left_invert(c, c_y, cfg.inversion_degree)
+        err = tracking_error_series(c, c_u, c_y, cfg.series_degree)
+        scale = max(1.0, max(abs(v) for row in c_y.coeffs for v in row))
+        assert np.max(np.abs(err[:, : cfg.inversion_degree + 1])) <= IDENTITY_RTOL * scale
+
+    def test_pipeline_runs_without_the_general_series_algebra(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the general series algebra ran inside run_pipeline")
+
+        monkeypatch.setattr(fliess.composition, "compose", unavailable)
+        monkeypatch.setattr(fliess.inversion, "compose", unavailable)
+        monkeypatch.setattr(fliess._kernels, "shuffle_terms", unavailable)
+        report = run_pipeline(bundled_map(), fast_cfg(sections=6, total_time=1.0))
+        assert len(report.sections) == 6
+        assert all(np.all(np.isfinite(r.error_series)) for r in report.sections)
 
 
 class TestTrackSpline:
@@ -271,6 +328,20 @@ class TestCli:
         )
         assert main(["series", "shuffle", "--in", str(a), "--in2", str(a), "--out", str(tmp_path / "o")]) == 4
         assert "nan" in capsys.readouterr().err
+
+    def test_exit_code_4_for_a_pole_inside_a_jet(self, tmp_path, capsys, monkeypatch):
+        def with_pole(realization, u, degree):
+            # an extra output 1/(z1 - z1(0)) puts a zero denominator in its jet
+            pole = 1.0 / (se.var(0) - realization.z0[0])
+            extended = Realization(realization.fields, realization.outputs + (pole,), realization.z0)
+            return taylor_outputs(extended, u, degree)
+
+        monkeypatch.setattr(fliess.pipeline, "taylor_outputs", with_pole)
+        m = tmp_path / "map.json"
+        save_map(empty_map(), m)
+        argv = ["pipeline", "--map", str(m), "--outdir", str(tmp_path / "run"), "--sections", "2"]
+        assert main(argv) == 4
+        assert "zero denominator in a Taylor jet" in capsys.readouterr().err
 
     def test_exit_code_4_for_overflow_in_series_arithmetic(self, tmp_path, capsys):
         a = tmp_path / "a.json"

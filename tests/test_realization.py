@@ -5,6 +5,7 @@ import pytest
 
 from fliess import Series, symexpr as se
 from fliess.errors import EvaluationError, SimulationError
+from fliess.inversion import TaylorOutput, left_invert, tracking_error_series
 from fliess.realization import (
     ControlSignal,
     Realization,
@@ -14,9 +15,16 @@ from fliess.realization import (
     growth_estimate,
     lie_derivative,
     rk4_simulate,
+    taylor_outputs,
     uniform_grid,
 )
-from fliess.vehicle import CarParams, augmented_realization, car_realization
+from fliess.vehicle import (
+    CarParams,
+    SectionInit,
+    augmented_realization,
+    car_realization,
+    solve_first_order_match,
+)
 
 
 def double_integrator(z10=0.3, z20=-1.2):
@@ -328,6 +336,86 @@ class TestSimulation:
         assert set(data.dtype.names) == {"t", "z1", "z2", "y1"}
         assert np.allclose(data["z1"], traj.states[:, 0])
         assert np.allclose(data["y1"], traj.outputs[:, 0])
+
+
+def every_node_kind(rng, z0):
+    """Three states, two inputs; the fields and outputs use every node kind."""
+    z1, z2, z3 = se.var(0), se.var(1), se.var(2)
+    a = [float(v) for v in rng.uniform(0.3, 1.2, size=6)]
+    g0 = [a[0] * se.sin(z2) + a[1] * z3, se.cos(z1) * z3, se.tan(a[2] * z1)]
+    g1 = [se.ONE, se.ZERO, z1**2]
+    g2 = [se.ZERO, se.div(a[3], 2.0 + z2), (1.0 + z3 * z3) ** -1]
+    outputs = [z1 + a[4] * z2 * z3, z2 - a[5] * se.cos(z3)]
+    return Realization([g0, g1, g2], outputs, z0)
+
+
+def composed_outputs(realization, c_u, degree):
+    """Output Taylor coefficients from the general composition c o c_u."""
+    c = generating_series(realization, degree)
+    return -tracking_error_series(c, c_u, TaylorOutput([[0.0]] * len(c)), degree)
+
+
+class TestTaylorOutputs:
+    """The Taylor-mode expansion of the realization against c o c_u."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_node_kind_matches_composition(self, seed):
+        rng = np.random.default_rng(seed)
+        z0 = rng.uniform(-0.5, 0.5, size=3)
+        if seed == 2:
+            z0[0] = 0.0  # z1^2 has a zero base
+        r = every_node_kind(rng, z0)
+        c_u = TaylorOutput(list(rng.normal(size=(2, 4))))
+        want = composed_outputs(r, c_u, 5)
+        got = taylor_outputs(r, c_u.coeffs, 5)
+        assert got.shape == (2, 6)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+    def test_car_matches_composition(self, rng):
+        r = augmented_realization((0.3, -0.2, 0.7, 0.25, 1.5))
+        c_u = TaylorOutput(list(rng.normal(size=(2, 7))))
+        want = composed_outputs(r, c_u, 8)
+        got = taylor_outputs(r, c_u.coeffs, 8)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+    def test_car_section_at_degree_8_6(self):
+        # criterion 6's section: the inverted inputs reach ~2e11 in series
+        # convention, so every residual is rounding noise in both
+        # computations: far below the gate's 1e-6 * scale through the
+        # inversion degree, and within rounding of the inputs' size past
+        # it, where the composition's summation order also moves it
+        z40, z50 = solve_first_order_match((10.75, 14.40), 1.5)
+        r = augmented_realization(SectionInit(-1.5, 9.5, 1.5, z40, z50))
+        c = generating_series(r, 8)
+        c_y = TaylorOutput([[-1.5, 10.75, -28.15, 185.15], [9.5, 14.40, 13.07, -24.89]])
+        c_u = left_invert(c, c_y, 6)
+        scale = 185.15
+        composed = tracking_error_series(c, c_u, c_y, 8)
+        jets = c_y.padded(8) - taylor_outputs(r, c_u.coeffs, 8)
+        assert np.max(np.abs(jets[:, :7])) <= 1e-7 * scale
+        assert np.max(np.abs(composed[:, :7] - jets[:, :7])) <= 1e-7 * scale
+        assert np.max(np.abs(composed - jets)) <= 1e-12 * np.max(np.abs(c_u.coeffs))
+
+    def test_drift_only_exponential(self):
+        # dz = z, y = z: y^(k)(0) = z0 for every k
+        r = Realization(fields=[[se.var(0)]], outputs=[se.var(0)], z0=(1.5,))
+        assert taylor_outputs(r, [], 6).tolist() == [[1.5] * 7]
+
+    def test_zero_denominator_raises(self):
+        # dz1 = 1/(z1 - z2) starting on the pole
+        z1, z2 = se.var(0), se.var(1)
+        r = Realization(
+            fields=[[1.0 / (z1 - z2), se.ZERO], [se.ZERO, se.ONE]], outputs=[z1], z0=(0.5, 0.5)
+        )
+        with pytest.raises(EvaluationError, match="zero denominator"):
+            taylor_outputs(r, [[1.0]], 4)
+
+    def test_tan_pole_raises(self):
+        # dz1 = tan(z1) from the float nearest pi/2: tan is 1.6e16 there,
+        # and the jets overflow by order 10
+        r = Realization(fields=[[se.tan(se.var(0))]], outputs=[se.var(0)], z0=(math.pi / 2,))
+        with pytest.raises(EvaluationError, match="non-finite"):
+            taylor_outputs(r, [], 12)
 
 
 class TestRealizationObject:

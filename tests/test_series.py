@@ -260,6 +260,18 @@ class TestCatenation:
         rhs = catenate(a, catenate(b, c, 4), 4)
         assert lhs.max_abs_diff(rhs) < 1e-12 * (1.0 + lhs.max_abs_coeff())
 
+    def test_overflow_raises(self):
+        a = Series(2, 2, {(1,): 1e300})
+        with pytest.raises(NonFiniteError, match="inf in a catenation"):
+            catenate(a, a)  # 1e600 would be kept as inf*x1x1
+
+    def test_nan_is_not_dropped_as_zero(self):
+        a = Series(3, 2, {(1,): 1e300, (1, 2): 1e300})
+        b = Series(3, 2, {(2,): 1e300, (): -1e300})
+        # x1x2 collects inf - inf = nan; the filter would drop it and keep -inf*x1
+        with pytest.raises(NonFiniteError, match="nan in a catenation"):
+            catenate(a, b)
+
     def test_prefix_and_shift(self, rng):
         a = random_series(rng, 3, 4)
         lifted = letter_prefixed(1, a, 5)

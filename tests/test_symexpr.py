@@ -129,6 +129,69 @@ class TestCompile:
             f([0.0])
 
 
+def jets_along(exprs, state, degree):
+    """Coefficients 0..degree of exprs along fixed polynomial state jets."""
+    tape = se.JetTape(exprs, len(state))
+    for k in range(degree + 1):
+        for s, coeffs in enumerate(state):
+            tape.jets[s].append(coeffs[k] if k < len(coeffs) else 0.0)
+        tape.step(k)
+    return [tape.jets[slot] for slot in tape.slots]
+
+
+class TestJets:
+    """Each rule against a closed-form Taylor series along z1(t) = a + t."""
+
+    def test_closed_forms(self):
+        z = se.var(0)
+        sin_t, cos_t, tan_t, geo, inv_sq, cube, shifted_cube = jets_along(
+            [se.sin(z), se.cos(z), se.tan(z), 1.0 / (1.0 - z), (1.0 + z) ** -2, z**3, (2.0 + z) ** 3],
+            [[0.0, 1.0]],
+            6,
+        )
+        fact = [math.factorial(k) for k in range(7)]
+        assert np.allclose(sin_t, [0, 1, 0, -1 / fact[3], 0, 1 / fact[5], 0], rtol=0, atol=1e-15)
+        assert np.allclose(cos_t, [1, 0, -1 / 2, 0, 1 / fact[4], 0, -1 / fact[6]], rtol=0, atol=1e-15)
+        assert np.allclose(tan_t, [0, 1, 0, 1 / 3, 0, 2 / 15, 0], rtol=0, atol=1e-15)
+        assert geo == [1.0] * 7
+        assert inv_sq == [(-1.0) ** k * (k + 1) for k in range(7)]
+        assert cube == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]  # zero base
+        assert shifted_cube == [8.0, 12.0, 6.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_products_sums_and_shared_trig(self, rng):
+        # along a random cubic state, against products of truncated jets
+        a = list(rng.normal(size=4))
+        z = se.var(0)
+        got = jets_along([3.0 * z * se.sin(z) * se.cos(z) + z, se.sin(z)], [a], 5)
+        sin_j, cos_j = jets_along([se.sin(z), se.cos(z)], [a], 5)
+
+        def cauchy(x, y):
+            return [sum(x[j] * y[k - j] for j in range(k + 1)) for k in range(6)]
+
+        z_j = a + [0.0, 0.0]
+        want = [3.0 * p + q for p, q in zip(cauchy(cauchy(z_j, sin_j), cos_j), z_j)]
+        assert np.allclose(got[0], want, rtol=1e-13, atol=1e-14)
+        assert got[1] == sin_j
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(EvaluationError, match="zero denominator"):
+            jets_along([1.0 / se.var(0)], [[0.0, 1.0]], 3)
+
+    def test_zero_base_negative_exponent_raises(self):
+        with pytest.raises(EvaluationError, match="negative exponent"):
+            jets_along([se.power(se.var(0), -2)], [[0.0, 1.0]], 3)
+
+    def test_overflow_raises(self):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            jets_along([se.var(0) * se.var(0)], [[1e200, 1e200]], 3)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            jets_along([se.power(se.var(0), 3)], [[1e200]], 1)
+
+    def test_variable_outside_state(self):
+        with pytest.raises(ValueError):
+            se.JetTape([se.var(2)], 2)
+
+
 class TestSimplify:
     def test_value_preserving(self, rng):
         z = [se.var(i) for i in range(3)]
