@@ -19,8 +19,7 @@ degree: degree k of e is final after k+1 sweeps.
 from __future__ import annotations
 
 from fliess.errors import AlphabetMismatchError, ConvergenceError, NonFiniteError
-from fliess.series import EPS, Series, VectorSeries, _reject_infinite, word_str
-from fliess import _kernels
+from fliess.series import EPS, Series, VectorSeries, _reject_infinite, shuffle_terms, word_str
 
 
 def _suffix_closure(words):
@@ -52,7 +51,7 @@ def _word_images(words, d, degree, modified):
                 if len(u) < degree:
                     img[(0,) + u] = cu
         else:
-            fed = _kernels.shuffle_terms(d_terms[head - 1], tail_image, degree - 1)
+            fed = shuffle_terms(d_terms[head - 1], tail_image, degree - 1)
             for u, cu in fed.items():
                 img[(0,) + u] = cu
             if modified:

@@ -27,7 +27,7 @@ import numpy as np
 
 from fliess.errors import ConvergenceError
 from fliess.inversion import left_invert
-from fliess.planner import extract_path, fit_spline, rrt_plan, smooth_path
+from fliess.planner import PathSpline, extract_path, fit_spline, rrt_plan, smooth_path
 from fliess.realization import (
     ControlSignal,
     Trajectory,

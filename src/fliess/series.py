@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 
-from fliess import _kernels
 from fliess.errors import (
     AlphabetMismatchError,
     MapFormatError,
@@ -501,9 +500,67 @@ def _effective_degree(a, b, degree):
     return degree
 
 
+# Word-pair shuffles memoized across calls: the same pairs recur in
+# series and composition products, and the values are exact integer
+# multiplicities.
+_PAIR_CACHE = {}
+
+
+def _shuffle_words(u, v):
+    # multiplicity map of all interleavings of u and v
+    if not u:
+        return {v: 1}
+    if not v:
+        return {u: 1}
+    key = (u, v) if u <= v else (v, u)
+    hit = _PAIR_CACHE.get(key)
+    if hit is not None:
+        return hit
+    out = {}
+    a = (u[0],)
+    for w, mult in _shuffle_words(u[1:], v).items():
+        aw = a + w
+        out[aw] = out.get(aw, 0) + mult
+    b = (v[0],)
+    for w, mult in _shuffle_words(u, v[1:]).items():
+        bw = b + w
+        out[bw] = out.get(bw, 0) + mult
+    _PAIR_CACHE[key] = out
+    return out
+
+
+def shuffle_terms(a, b, max_degree):
+    """Shuffle product of two sparse coefficient maps, truncated.
+
+    a, b: dict word-tuple -> float.  Returns a new dict with
+    |coefficient| <= EPS entries dropped.  Raises NonFiniteError when
+    a coefficient overflows to inf or turns NaN (a NaN would fail the
+    filter and vanish as a zero).
+    """
+    out = {}
+    for ua, ca in a.items():
+        la = len(ua)
+        if la > max_degree:
+            continue
+        for ub, cb in b.items():
+            if la + len(ub) > max_degree:
+                continue
+            prod = ca * cb
+            for w, mult in _shuffle_words(ua, ub).items():
+                out[w] = out.get(w, 0.0) + prod * mult
+    kept = {}
+    for w, c in out.items():
+        if abs(c) > EPS:
+            kept[w] = c
+        elif c != c:
+            raise NonFiniteError(f"coefficient of {word_str(w)} is nan in a shuffle product")
+    _reject_infinite(kept, "shuffle product")
+    return kept
+
+
 def _shuffle_scalar(a, b, degree):
     a._check_compatible(b)
-    terms = _kernels.shuffle_terms(a._terms, b._terms, degree)
+    terms = shuffle_terms(a._terms, b._terms, degree)
     return Series._raw(a.alphabet_size, degree, terms)
 
 

@@ -1,13 +1,15 @@
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 
-import fliess._kernels
+import fliess
 import fliess.composition
 import fliess.inversion
 import fliess.pipeline
+import fliess.series
 from fliess import symexpr as se
 from fliess.cli import main
 from fliess.errors import ConvergenceError
@@ -138,7 +140,8 @@ class TestIdentityGate:
 
         monkeypatch.setattr(fliess.composition, "compose", unavailable)
         monkeypatch.setattr(fliess.inversion, "compose", unavailable)
-        monkeypatch.setattr(fliess._kernels, "shuffle_terms", unavailable)
+        monkeypatch.setattr(fliess.series, "shuffle_terms", unavailable)
+        monkeypatch.setattr(fliess.composition, "shuffle_terms", unavailable)
         report = run_pipeline(bundled_map(), fast_cfg(sections=6, total_time=1.0))
         assert len(report.sections) == 6
         assert all(np.all(np.isfinite(r.error_series)) for r in report.sections)
@@ -203,6 +206,12 @@ class TestRunPipeline:
         report = run_pipeline(m, fast_cfg())
         write_artifacts(report, m, tmp_path / "out")
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_public_class_annotations_resolve(self):
+        classes = [getattr(fliess, n) for n in fliess.__all__ if isinstance(getattr(fliess, n), type)]
+        assert fliess.PipelineReport in classes
+        for cls in classes:
+            typing.get_type_hints(cls)
 
 
 class TestCli:
