@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from fliess.composition import compose, group_inverse
 from fliess.errors import (
     ConvergenceError,
@@ -129,24 +127,15 @@ def cmd_simulate(args):
         sections = doc["sections"]
     except (KeyError, TypeError) as exc:
         raise MapFormatError(f"malformed inputs document: {exc}") from exc
-    times, states, outputs = [], [], []
-    offset = 0.0
+    pieces = []
     for entry in sections:
         init = SectionInit(**{k: float(v) for k, v in entry["init"].items()})
         realization = augmented_realization(init, params)
         u = ControlSignal.from_taylor(
             [entry["steering_rate"], entry["speed_rate"]], entry["duration"]
         )
-        tr = rk4_simulate(realization, u, entry["duration"], args.steps)
-        times.append(tr.times + offset)
-        states.append(tr.states)
-        outputs.append(tr.outputs)
-        offset += float(entry["duration"])
-    combined = Trajectory(
-        times=np.concatenate(times),
-        states=np.vstack(states),
-        outputs=np.vstack(outputs),
-    )
+        pieces.append(rk4_simulate(realization, u, entry["duration"], args.steps))
+    combined = Trajectory.concat(pieces)
     combined.to_csv(args.out)
     print(f"simulated {len(sections)} sections, {combined.times.size} samples")
 

@@ -141,7 +141,7 @@ def modified_compose(c, d, degree=None):
     return _compose_vector(c, d, degree, modified=True)
 
 
-def group_inverse(c, degree=None, verify=True):
+def group_inverse(c, degree=None):
     """Composition-group inverse of the unit-feedthrough element carried by c.
 
     c is a vector series with m components over the (m+1)-letter
@@ -163,13 +163,12 @@ def group_inverse(c, degree=None, verify=True):
     # sweep at degree k skips work on words that are not settled yet
     for k in range(degree + 1):
         e = -1.0 * modified_compose(c, e, k)
-    if verify:
-        again = -1.0 * modified_compose(c, e, degree)
-        scale = 1.0 + max(e.max_abs_coeff(), again.max_abs_coeff())
-        if e.max_abs_diff(again) > 1e-9 * scale:
-            raise ConvergenceError(
-                "group-inverse fixed point did not stabilize within degree+1 sweeps"
-            )
+    again = -1.0 * modified_compose(c, e, degree)
+    scale = 1.0 + max(e.max_abs_coeff(), again.max_abs_coeff())
+    if e.max_abs_diff(again) > 1e-9 * scale:
+        raise ConvergenceError(
+            "group-inverse fixed point did not stabilize within degree+1 sweeps"
+        )
     return e
 
 
@@ -211,8 +210,8 @@ class DeltaSeries:
             return other.truncate(degree) + composed
         return other.truncate(degree) + composed
 
-    def inverse(self, degree=None, verify=True):
-        return DeltaSeries(group_inverse(self.base, degree, verify))
+    def inverse(self, degree=None):
+        return DeltaSeries(group_inverse(self.base, degree))
 
     def __repr__(self):
         return f"DeltaSeries(identity + {self.base!r})"

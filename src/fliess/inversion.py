@@ -147,7 +147,7 @@ def _leading_drift_count(word):
     return k
 
 
-def relative_degree(c, rank_rtol=SINGULARITY_RTOL):
+def relative_degree(c):
     """Vector relative degree of a square vector series.
 
     For each component, r_i - 1 is the least number of leading drift
@@ -181,7 +181,7 @@ def relative_degree(c, rank_rtol=SINGULARITY_RTOL):
             f"decoupling matrix is {a.shape[0]}x{a.shape[1]}, need square"
         )
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= rank_rtol * sv[0]:
+    if sv[0] == 0.0 or sv[-1] <= SINGULARITY_RTOL * sv[0]:
         raise SingularDecouplingError(
             f"decoupling matrix fails the rank test (sigma_min/sigma_max = {sv[-1]:.3e}/{sv[0]:.3e})"
         )

@@ -103,13 +103,7 @@ class SectionReport:
     def to_json_dict(self):
         return {
             "index": self.index,
-            "init": {
-                "z1": self.init.z1,
-                "z2": self.init.z2,
-                "z3": self.init.z3,
-                "z4": self.init.z4,
-                "z5": self.init.z5,
-            },
+            "init": self.init.to_json_dict(),
             "steering_rate_coeffs": list(self.steering_rate_coeffs),
             "speed_rate_coeffs": list(self.speed_rate_coeffs),
             "error_series": [list(row) for row in self.error_series],
@@ -195,22 +189,6 @@ def track_spline(spline, cfg):
     return reports
 
 
-def _concat_trajectories(reports):
-    times, states, outputs = [], [], []
-    offset = 0.0
-    for report in reports:
-        tr = report.trajectory
-        times.append(tr.times + offset)
-        states.append(tr.states)
-        outputs.append(tr.outputs)
-        offset += float(tr.times[-1])
-    return Trajectory(
-        times=np.concatenate(times),
-        states=np.vstack(states),
-        outputs=np.vstack(outputs),
-    )
-
-
 @dataclass
 class PipelineReport:
     config: PipelineConfig
@@ -279,7 +257,7 @@ def run_pipeline(obstacle_map, cfg=None, outdir=None):
         params=cfg.params,
     )
     reports = track_spline(spline, cfg)
-    trajectory = _concat_trajectories(reports)
+    trajectory = Trajectory.concat([r.trajectory for r in reports])
 
     collision_free = obstacle_map.polyline_free(trajectory.outputs)
     end = trajectory.outputs[-1]

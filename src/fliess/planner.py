@@ -11,8 +11,11 @@ start.  The vehicle is treated as a point.
 Checking a long polyline (the simulated car path) against the map runs
 a numpy broad phase first: a vectorised bounds test on every point, and
 a box test that keeps, per obstacle, only the segments whose bounding
-box meets the obstacle's padded box.  Those few segments go to the
-exact predicates, so the decision equals the segment-by-segment check.
+box meets the obstacle's padded box.  The box test is exact because
+every predicate behind it requires box overlap (_segments_intersect
+rejects box-disjoint pairs before its orientation test), so sending
+only those few segments to the exact predicates gives the decision of
+the segment-by-segment check.
 """
 
 from __future__ import annotations
@@ -64,6 +67,16 @@ def _within_bbox(a, b, p):
 
 
 def _segments_intersect(p1, p2, q1, q2):
+    # Segments that meet share a box.  The exact comparisons reject pairs
+    # that the rounded orientations below would call crossing: nearly
+    # collinear segments lying apart along their common line.
+    if (
+        max(p1[0], p2[0]) < min(q1[0], q2[0])
+        or max(q1[0], q2[0]) < min(p1[0], p2[0])
+        or max(p1[1], p2[1]) < min(q1[1], q2[1])
+        or max(q1[1], q2[1]) < min(p1[1], p2[1])
+    ):
+        return False
     d1 = _orient(q1, q2, p1)
     d2 = _orient(q1, q2, p2)
     d3 = _orient(p1, p2, q1)
@@ -92,33 +105,6 @@ def _segment_segment_distance(p1, p2, q1, q2):
         _point_segment_distance(q1, p1, p2),
         _point_segment_distance(q2, p1, p2),
     )
-
-
-def _edge_crossings(a, b, vertices):
-    """Mask of segments a[i]->b[i] that the proper-crossing branch of
-    _segments_intersect reports as crossing some polygon edge.
-
-    The orientations are the same float operations as _orient, so the
-    mask is exact.  Rounding lets that branch report a crossing between
-    nearly collinear segments that lie apart along their common line,
-    so these segments are candidates whatever their boxes.
-    """
-    e1 = np.asarray(vertices, dtype=float)
-    e2 = np.roll(e1, -1, axis=0)
-    # rows are edges, columns segments
-    e1x, e1y, e2x, e2y = (c[:, None] for c in (e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1]))
-    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-    ex, ey = e2x - e1x, e2y - e1y
-    d1 = ex * (ay - e1y) - ey * (ax - e1x)
-    d2 = ex * (by - e1y) - ey * (bx - e1x)
-    sx, sy = bx - ax, by - ay
-    d3 = sx * (e1y - ay) - sy * (e1x - ax)
-    d4 = sx * (e2y - ay) - sy * (e2x - ax)
-    proper = (
-        ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0)
-        & ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
-    )
-    return proper.any(axis=0)
 
 
 def _point_in_polygon(p, vertices):
@@ -188,11 +174,7 @@ class Polygon:
         return False
 
     def box(self, margin=0.0):
-        """(xmin, ymin, xmax, ymax) outside which nothing collides.
-
-        A segment outside it can still be reported as crossing an edge
-        by orientation rounding; see _edge_crossings.
-        """
+        """(xmin, ymin, xmax, ymax) outside which nothing collides."""
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
         return (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
@@ -242,8 +224,7 @@ class ObstacleMap:
         Every point gets the in_bounds comparisons at once.  Then, per
         obstacle, a segment reaches the exact collides_segment only when
         its bounding box meets the obstacle's box padded by _BOX_PAD
-        times the largest coordinate in play, or when it is an
-        _edge_crossings candidate of a polygon.  A pair is dropped only
+        times the largest coordinate in play.  A pair is dropped only
         when a comparison proves the boxes apart, so NaN boxes keep
         every segment.
         """
@@ -269,8 +250,6 @@ class ObstacleMap:
                 | (lo[:, 0] > box[2] + pad)
                 | (lo[:, 1] > box[3] + pad)
             )
-            if isinstance(ob, Polygon):
-                near |= _edge_crossings(a, b, ob.vertices)
             for i in np.flatnonzero(near):
                 if ob.collides_segment(tuple(a[i].tolist()), tuple(b[i].tolist()), margin):
                     return False
@@ -475,13 +454,7 @@ class SplineSection:
             "duration": self.duration,
             "poly": [list(row) for row in self.poly],
             "series": [list(row) for row in self.series_rows()],
-            "init": {
-                "z1": self.init.z1,
-                "z2": self.init.z2,
-                "z3": self.init.z3,
-                "z4": self.init.z4,
-                "z5": self.init.z5,
-            },
+            "init": self.init.to_json_dict(),
         }
 
 

@@ -323,6 +323,22 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
+    @classmethod
+    def concat(cls, trajectories):
+        """One trajectory from consecutive pieces, each timed from the end of the last."""
+        times, states, outputs = [], [], []
+        offset = 0.0
+        for tr in trajectories:
+            times.append(tr.times + offset)
+            states.append(tr.states)
+            outputs.append(tr.outputs)
+            offset += float(tr.times[-1])
+        return cls(
+            times=np.concatenate(times),
+            states=np.vstack(states),
+            outputs=np.vstack(outputs),
+        )
+
     def to_csv(self, path):
         """Header t,z1,...,zn,y1,...,yl; 15 significant digits."""
         n = self.states.shape[1]

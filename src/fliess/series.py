@@ -147,15 +147,8 @@ class Series:
     def is_zero(self):
         return not self._terms
 
-    def is_proper(self):
-        """True when the empty-word coefficient vanishes."""
-        return EMPTY_WORD not in self._terms
-
     def constant_term(self):
         return self._terms.get(EMPTY_WORD, 0.0)
-
-    def min_degree(self):
-        return min((len(w) for w in self._terms), default=0)
 
     def max_abs_coeff(self):
         return max((abs(c) for c in self._terms.values()), default=0.0)

@@ -26,7 +26,7 @@ wherever z5 (the speed) is nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from fliess import symexpr
 from fliess.errors import SingularDecouplingError
@@ -54,6 +54,9 @@ class SectionInit:
 
     def as_tuple(self):
         return (self.z1, self.z2, self.z3, self.z4, self.z5)
+
+    def to_json_dict(self):
+        return asdict(self)
 
     def validate(self, params=CarParams()):
         if self.z5 == 0.0:

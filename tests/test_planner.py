@@ -26,6 +26,7 @@ from fliess.planner import (
     smooth_and_spline,
     smooth_path,
     _point_segment_distance,
+    _segment_segment_distance,
     _segments_intersect,
 )
 from fliess.svgplot import SvgCanvas, draw_map
@@ -167,8 +168,9 @@ class TestObstacleMap:
         assert len(m.obstacles) == 6
 
 
-# Two collinear segments 0.2 apart along their line, which the orientation
-# test of _segments_intersect reports as crossing through rounding.
+# Two collinear segments 0.2 apart along their line.  Their rounded
+# orientations have random signs and pass as a proper crossing; only the
+# box test in front of them tells the segments apart.
 ROUNDED_CROSSING = (
     (1.125922989742822, -0.17016994768989996),
     (0.3460887880566501, -0.6686270304512366),
@@ -264,13 +266,28 @@ class TestPolylineBroadPhase:
         assert not assert_agrees(m, [(-3.0, 1.3), (3.0, 1.3)], margin=0.3)  # on the padded box edge
         assert assert_agrees(m, [(-3.0, 1.3 + 1e-12), (1.5, 1.3 + 1e-12)], margin=0.3)
 
-    def test_rounded_edge_crossing_is_kept(self):
+    def test_rounded_collinear_pair_is_free(self):
         p1, p2, q1, q2 = ROUNDED_CROSSING
-        assert _segments_intersect(p1, p2, q1, q2)
+        assert not _segments_intersect(p1, p2, q1, q2)
         assert min(p1[0], p2[0]) - max(q1[0], q2[0]) > 0.2
+        assert _segment_segment_distance(p1, p2, q1, q2) > 0.2
         wedge = Polygon((q1, q2, (0.0, -1.5)))
         m = ObstacleMap((-2, -2, 2, 2), (wedge,), (0, 0), (1, 1))
-        assert not assert_agrees(m, [p1, p2])
+        for margin in (0.0, 0.01):
+            assert m.segment_free(p1, p2, margin)
+            assert assert_agrees(m, [p1, p2], margin)
+
+    def test_separated_collinear_pairs_never_cross(self):
+        # four sorted points on a random line, the second pair 0.2 further on
+        rng = np.random.default_rng(0)
+        n = 50_000
+        a = rng.uniform(-1.0, 1.0, size=(n, 2))
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        d = np.column_stack([np.cos(theta), np.sin(theta)])
+        s = np.sort(rng.uniform(-1.0, 1.0, size=(n, 4)), axis=1)
+        s[:, 2:] += 0.2
+        pairs = (a[:, None, :] + s[:, :, None] * d[:, None, :]).tolist()
+        assert not any(_segments_intersect(p1, p2, q1, q2) for p1, p2, q1, q2 in pairs)
 
 
 @pytest.fixture(scope="module")
