@@ -124,17 +124,15 @@ def cmd_simulate(args):
     doc = load_json_document(args.inputs)
     try:
         params = CarParams(length=doc["params"]["L"], k=doc["params"]["k"])
-        sections = doc["sections"]
-    except (KeyError, TypeError) as exc:
+        sections = []
+        for entry in doc["sections"]:
+            init = SectionInit(**{k: float(v) for k, v in entry["init"].items()})
+            duration = float(entry["duration"])
+            u = ControlSignal.from_taylor([entry["steering_rate"], entry["speed_rate"]], duration)
+            sections.append((augmented_realization(init, params), u, duration))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MapFormatError(f"malformed inputs document: {exc}") from exc
-    pieces = []
-    for entry in sections:
-        init = SectionInit(**{k: float(v) for k, v in entry["init"].items()})
-        realization = augmented_realization(init, params)
-        u = ControlSignal.from_taylor(
-            [entry["steering_rate"], entry["speed_rate"]], entry["duration"]
-        )
-        pieces.append(rk4_simulate(realization, u, entry["duration"], args.steps))
+    pieces = [rk4_simulate(r, u, duration, args.steps) for r, u, duration in sections]
     combined = Trajectory.concat(pieces)
     combined.to_csv(args.out)
     print(f"simulated {len(sections)} sections, {combined.times.size} samples")

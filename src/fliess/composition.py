@@ -18,17 +18,10 @@ degree: degree k of e is final after k+1 sweeps.
 
 from __future__ import annotations
 
-from fliess.errors import AlphabetMismatchError, ConvergenceError, NonFiniteError
-from fliess.series import EPS, Series, VectorSeries, _reject_infinite, shuffle_terms, word_str
+import numpy as np
 
-
-def _suffix_closure(words):
-    """All suffixes of the given words, sorted shortest first."""
-    seen = set()
-    for w in words:
-        for k in range(len(w) + 1):
-            seen.add(w[k:])
-    return sorted(seen, key=len)
+from fliess.errors import AlphabetMismatchError, ConvergenceError
+from fliess.series import EPS, Series, VectorSeries, _kept, _mix, _suffix_closure, shuffle_terms
 
 
 def _word_images(words, d, degree, modified):
@@ -40,7 +33,7 @@ def _word_images(words, d, degree, modified):
     """
     d_terms = [comp.terms_dict() for comp in d]
     images = {(): {(): 1.0}}
-    for w in _suffix_closure(words):
+    for w in sorted(_suffix_closure(words), key=len):
         if w in images or len(w) > degree:
             continue
         head, tail = w[0], w[1:]
@@ -86,33 +79,24 @@ def _accumulate(c, images, degree, alphabet):
             continue
         for u, cu in images[w].items():
             acc[u] = acc.get(u, 0.0) + coeff * cu
-    out = {}
-    for u, v in acc.items():
-        if abs(v) > EPS:
-            out[u] = v
-        elif v != v:
-            raise NonFiniteError(f"coefficient of {word_str(u)} is nan in a composition product")
-    _reject_infinite(out, "composition product")
-    return Series._raw(alphabet, degree, out)
-
-
-def _compose_scalar(c, d, degree, modified):
-    _check_operands(c, d, modified)
-    images = _word_images(c.support(), d, degree, modified)
-    return _accumulate(c, images, degree, d.alphabet_size)
-
-
-def _compose_vector(c, d, degree, modified):
-    _check_operands(c[0], d, modified)
-    support = set()
-    for ci in c:
-        support |= ci.support()
-    images = _word_images(support, d, degree, modified)
-    return VectorSeries([_accumulate(ci, images, degree, d.alphabet_size) for ci in c])
+    return Series._raw(alphabet, degree, _kept(acc, "composition product"))
 
 
 def _as_vector(c):
     return c if isinstance(c, VectorSeries) else VectorSeries([c])
+
+
+def _compose(c, d, degree, modified):
+    """(Modified) composition of a scalar or vector c with d; a scalar
+    c is read as a 1-vector and its result unwrapped."""
+    if degree is None:
+        degree = min(c.max_degree, d.max_degree)
+    rows = _as_vector(c)
+    _check_operands(rows[0], d, modified)
+    words = (w for row in rows for w in row.terms_dict())
+    images = _word_images(words, d, degree, modified)
+    out = VectorSeries([_accumulate(row, images, degree, d.alphabet_size) for row in rows])
+    return out[0] if isinstance(c, Series) else out
 
 
 def compose(c, d, degree=None):
@@ -121,11 +105,7 @@ def compose(c, d, degree=None):
     c is a scalar or vector series whose input letters 1..m pair with
     the m components of d; the result lives over d's alphabet.
     """
-    if degree is None:
-        degree = min(c.max_degree, d.max_degree)
-    if isinstance(c, Series):
-        return _compose_scalar(c, d, degree, modified=False)
-    return _compose_vector(c, d, degree, modified=False)
+    return _compose(c, d, degree, modified=False)
 
 
 def modified_compose(c, d, degree=None):
@@ -134,11 +114,7 @@ def modified_compose(c, d, degree=None):
     Realizes composition with the unit-feedthrough element carried by
     d: cascading c with (identity + d).
     """
-    if degree is None:
-        degree = min(c.max_degree, d.max_degree)
-    if isinstance(c, Series):
-        return _compose_scalar(c, d, degree, modified=True)
-    return _compose_vector(c, d, degree, modified=True)
+    return _compose(c, d, degree, modified=True)
 
 
 def group_inverse(c, degree=None):
@@ -205,10 +181,7 @@ class DeltaSeries:
         # (I + c) o d = d + c o d for a plain series d
         if degree is None:
             degree = min(self.base.max_degree, other.max_degree)
-        composed = compose(self.base, other, degree)
-        if isinstance(other, Series):
-            return other.truncate(degree) + composed
-        return other.truncate(degree) + composed
+        return other.truncate(degree) + compose(self.base, other, degree)
 
     def inverse(self, degree=None):
         return DeltaSeries(group_inverse(self.base, degree))
@@ -218,21 +191,13 @@ class DeltaSeries:
 
 
 def _static_mix(gain, plant, degree):
-    import numpy as np
-
     g = np.atleast_2d(np.asarray(gain, dtype=float))
     if g.shape == (1, 1) and len(plant) > 1:
         g = g[0, 0] * np.eye(len(plant))
     if g.shape[1] != len(plant):
         raise ValueError("static gain width and plant output count differ")
-    rows = []
-    for i in range(g.shape[0]):
-        acc = Series.zero(plant.alphabet_size, degree)
-        for j in range(g.shape[1]):
-            if g[i, j] != 0.0:
-                acc = acc + g[i, j] * plant[j].truncate(degree)
-        rows.append(acc)
-    return VectorSeries(rows)
+    outputs = plant.truncate(degree).components
+    return VectorSeries([_mix(row, outputs, degree) for row in g])
 
 
 def feedback_product(c, d, degree=None):

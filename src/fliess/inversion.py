@@ -54,6 +54,7 @@ from fliess.series import (
     SINGULARITY_RTOL,
     Series,
     VectorSeries,
+    _suffix_closure,
     constant_term_inverse,
     drift_word,
     left_shift,
@@ -160,10 +161,10 @@ def relative_degree(c):
     m = c.alphabet_size - 1
     orders = []
     for i, comp in enumerate(c):
-        forced = comp.forced_part()
-        if forced.is_zero():
+        shift = min((_leading_drift_count(w) for w in comp.terms_dict() if any(w)), default=None)
+        if shift is None:
             raise NoRelativeDegreeError(i, f"output component {i} has no input dependence")
-        r = 1 + min(_leading_drift_count(w) for w in forced.support())
+        r = 1 + shift
         row = [comp.coeff(drift_word(r - 1) + (j,)) for j in range(1, m + 1)]
         if not any(abs(v) > 0.0 for v in row):
             raise NoRelativeDegreeError(
@@ -200,12 +201,7 @@ class _DriftPlan:
     """
 
     def __init__(self, targets, m, degree, a0_inv):
-        words = set()
-        for terms in targets:
-            for w in terms:
-                while w not in words:  # a known suffix brings all shorter ones
-                    words.add(w)
-                    w = w[1:]
+        words = _suffix_closure(w for terms in targets for w in terms)
         index = {w: i for i, w in enumerate(sorted(words, key=word_key))}
         self.weights = np.zeros((len(targets), len(index)))
         for row, terms in enumerate(targets):

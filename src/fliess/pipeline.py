@@ -76,6 +76,8 @@ class PipelineConfig:
             )
         if self.sections < 1 or self.total_time <= 0.0:
             raise ValueError("need a positive section count and total time")
+        if self.rk4_steps < 1:
+            raise ValueError("need at least one RK4 step per section")
         if self.handoff not in ("measured", "planned"):
             raise ValueError(f"unknown handoff mode {self.handoff!r}")
         return self

@@ -113,7 +113,8 @@ def lie_derivative(g, h):
     return symexpr.add(*parts) if parts else symexpr.ZERO
 
 
-# symbolic word -> expression tables, keyed by field/output structure
+# symbolic word -> expression tables, keyed by the (interned, so
+# identity-hashed) field and output expressions
 _TABLE_CACHE = {}
 
 
@@ -124,10 +125,7 @@ def _coefficient_table(fields, outputs, degree):
     with their whole extension subtree (appending letters to a zero
     coefficient keeps it zero).
     """
-    key = (
-        tuple(tuple(e._id for e in col) for col in fields),
-        tuple(e._id for e in outputs),
-    )
+    key = (fields, outputs)
     cached = _TABLE_CACHE.get(key)
     if cached is not None and cached[0] >= degree:
         return cached[1]
@@ -359,10 +357,12 @@ def rk4_simulate(realization, u, horizon, steps):
     through the compiled fields.  Raises SimulationError with the first
     offending time if the state leaves the finite range.
     """
+    if steps < 1:
+        raise ValueError("RK4 needs at least one step")
     n = realization.n_states
     m = realization.n_inputs
-    field_fn = _compiled_fields(realization)
-    out_fn = _compiled_outputs(realization)
+    field_fn = _compiled(tuple(e for col in realization.fields for e in col), n)
+    out_fn = _compiled(realization.outputs, n)
 
     h = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
@@ -461,27 +461,14 @@ def taylor_outputs(realization, u, degree):
     return np.array(out)
 
 
-_FIELD_FN_CACHE = {}
+# compiled functions keyed by the expression tuple itself: interned
+# nodes hash by identity, and the key keeps them alive
+_COMPILED = {}
 
 
-def _compiled_fields(realization):
-    """One function z -> the m+1 fields' components, drift first, flattened."""
-    key = tuple(tuple(e._id for e in col) for col in realization.fields)
-    fn = _FIELD_FN_CACHE.get(key)
+def _compiled(exprs, n):
+    """One function z -> [e(z) for e in exprs] over n state variables."""
+    fn = _COMPILED.get(exprs)
     if fn is None:
-        flat = [e for col in realization.fields for e in col]
-        fn = symexpr.compile_expr(flat, realization.n_states)
-        _FIELD_FN_CACHE[key] = fn
-    return fn
-
-
-_OUT_FN_CACHE = {}
-
-
-def _compiled_outputs(realization):
-    key = tuple(e._id for e in realization.outputs)
-    fn = _OUT_FN_CACHE.get(key)
-    if fn is None:
-        fn = symexpr.compile_expr(list(realization.outputs), realization.n_states)
-        _OUT_FN_CACHE[key] = fn
+        fn = _COMPILED[exprs] = symexpr.compile_expr(list(exprs), n)
     return fn

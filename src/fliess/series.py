@@ -6,10 +6,10 @@ is reserved for the drift direction throughout the library, letters
 1..m for the inputs.  Series are truncated: words longer than
 max_degree are never stored, and coefficients with magnitude below
 1e-15 are dropped after every arithmetic step so zero stays canonical.
-The public constructor, addition, scalar multiplication, the shuffle
-kernel, the catenation and the composition products reject NaN and
-infinite coefficients with NonFiniteError, so they cannot pass that
-filter as zeros.
+The public constructor and addition reject NaN and infinite
+coefficients with NonFiniteError, so they cannot pass that filter as
+zeros; the products (scalar, shuffle, catenation and composition)
+share one such filter, ``_kept``.
 
 Truncation degree is a property of each operation call.  When the
 degree argument is omitted an operation uses the smallest operand
@@ -64,6 +64,32 @@ def _reject_infinite(terms, what):
     if terms and max(map(abs, terms.values())) == math.inf:
         word = next(w for w, c in terms.items() if abs(c) == math.inf)
         raise NonFiniteError(f"coefficient of {word_str(word)} is {terms[word]!r} in a {what}")
+
+
+def _kept(terms, what):
+    """The terms of an arithmetic result with |coefficient| > EPS.
+
+    Raises NonFiniteError on a NaN or infinite coefficient, so neither
+    can pass the filter as a zero.
+    """
+    kept = {}
+    for w, c in terms.items():
+        if abs(c) > EPS:
+            kept[w] = c
+        elif c != c:
+            raise NonFiniteError(f"coefficient of {word_str(w)} is nan in a {what}")
+    _reject_infinite(kept, what)
+    return kept
+
+
+def _suffix_closure(words):
+    """The set of all suffixes of the given words, the empty word included."""
+    closed = set()
+    for w in words:
+        while w not in closed:  # a known suffix brings all shorter ones
+            closed.add(w)
+            w = w[1:]
+    return closed
 
 
 class Series:
@@ -195,14 +221,7 @@ class Series:
         if not isinstance(scalar, (int, float)):
             return NotImplemented
         scalar = float(scalar)
-        out = {}
-        for w, c in self._terms.items():
-            c = c * scalar
-            if abs(c) > EPS:
-                out[w] = c
-            elif c != c:
-                raise NonFiniteError(f"coefficient of {word_str(w)} is nan in a scalar product")
-        _reject_infinite(out, "scalar product")
+        out = _kept({w: c * scalar for w, c in self._terms.items()}, "scalar product")
         return Series._raw(self.alphabet_size, self.max_degree, out)
 
     __rmul__ = __mul__
@@ -541,14 +560,7 @@ def shuffle_terms(a, b, max_degree):
             prod = ca * cb
             for w, mult in _shuffle_words(ua, ub).items():
                 out[w] = out.get(w, 0.0) + prod * mult
-    kept = {}
-    for w, c in out.items():
-        if abs(c) > EPS:
-            kept[w] = c
-        elif c != c:
-            raise NonFiniteError(f"coefficient of {word_str(w)} is nan in a shuffle product")
-    _reject_infinite(kept, "shuffle product")
-    return kept
+    return _kept(out, "shuffle product")
 
 
 def _shuffle_scalar(a, b, degree):
@@ -573,33 +585,24 @@ def shuffle(a, b, degree=None):
         return shuffle(b, a, degree)
     if isinstance(a, MatrixSeries) and isinstance(b, MatrixSeries):
         deg = _effective_degree(a, b, degree)
-        n, k = a.shape
-        k2, m = b.shape
-        if k != k2:
+        if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = Series.zero(a.alphabet_size, deg)
-                for s in range(k):
-                    acc = acc + _shuffle_scalar(a.entries[i][s], b.entries[s][j], deg)
-                row.append(acc)
-            rows.append(row)
-        return MatrixSeries(rows)
+        columns = list(zip(*b.entries))
+        return MatrixSeries([[_shuffle_dot(row, col, deg) for col in columns] for row in a.entries])
     if isinstance(a, MatrixSeries) and isinstance(b, VectorSeries):
         deg = _effective_degree(a, b, degree)
-        n, k = a.shape
-        if k != len(b):
+        if a.shape[1] != len(b):
             raise ValueError("matrix width and vector length differ")
-        out = []
-        for i in range(n):
-            acc = Series.zero(a.alphabet_size, deg)
-            for s in range(k):
-                acc = acc + _shuffle_scalar(a.entries[i][s], b[s], deg)
-            out.append(acc)
-        return VectorSeries(out)
+        return VectorSeries([_shuffle_dot(row, b.components, deg) for row in a.entries])
     raise TypeError(f"unsupported operand types for shuffle: {type(a)}, {type(b)}")
+
+
+def _shuffle_dot(row, col, degree):
+    """Sum of the shuffles row[s] sh col[s], truncated to degree."""
+    acc = Series.zero(row[0].alphabet_size, degree)
+    for a, b in zip(row, col):
+        acc = acc + _shuffle_scalar(a, b, degree)
+    return acc
 
 
 def shuffle_power(a, k, degree=None):
@@ -624,14 +627,7 @@ def catenate(a, b, degree=None):
                 continue
             w = ua + ub
             out[w] = out.get(w, 0.0) + ca * cb
-    kept = {}
-    for w, c in out.items():
-        if abs(c) > EPS:
-            kept[w] = c
-        elif c != c:
-            raise NonFiniteError(f"coefficient of {word_str(w)} is nan in a catenation product")
-    _reject_infinite(kept, "catenation product")
-    return Series._raw(a.alphabet_size, deg, kept)
+    return Series._raw(a.alphabet_size, deg, _kept(out, "catenation product"))
 
 
 def letter_prefixed(letter, s, degree):
@@ -693,21 +689,9 @@ def shuffle_inverse(c, degree=None):
         raise ValueError("shuffle inverse needs a square matrix")
     deg = c.max_degree if degree is None else degree
     a0_inv = constant_term_inverse(c.constant_matrix())
-    c = MatrixSeries([[e.truncate(deg) for e in row] for row in c.entries])
+    columns = [[e.truncate(deg) for e in col] for col in zip(*c.entries)]
     # proper remainder C' = I - A^-1 C
-    ainv_c = MatrixSeries(
-        [
-            [
-                _sum_series(
-                    [a0_inv[i, s] * c.entries[s][j] for s in range(n)],
-                    c.alphabet_size,
-                    deg,
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    ainv_c = MatrixSeries([[_mix(a0_inv[i], col, deg) for col in columns] for i in range(n)])
     cp = MatrixSeries.identity(n, c.alphabet_size, deg) - ainv_c
     # geometric series: I + C' + C'^2 + ... (C' proper, so degree-k terms stop at k = deg)
     star = MatrixSeries.identity(n, c.alphabet_size, deg)
@@ -715,28 +699,17 @@ def shuffle_inverse(c, degree=None):
     for _ in range(deg):
         power = shuffle(power, cp, deg)
         star = star + power
-    out = MatrixSeries(
-        [
-            [
-                _sum_series(
-                    [star.entries[i][s] * a0_inv[s, j] for s in range(n)],
-                    c.alphabet_size,
-                    deg,
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    out = MatrixSeries([[_mix(a0_inv[:, j], row, deg) for j in range(n)] for row in star.entries])
     if scalar:
         return out.entries[0][0]
     return out
 
 
-def _sum_series(seq, alphabet_size, degree):
-    acc = Series.zero(alphabet_size, degree)
-    for s in seq:
-        acc = acc + s
+def _mix(gains, series, degree):
+    """The series sum_s gains[s] * series[s], truncated to degree."""
+    acc = Series.zero(series[0].alphabet_size, degree)
+    for g, s in zip(gains, series):
+        acc = acc + s * g
     return acc
 
 

@@ -83,25 +83,36 @@ class TestComposeRecursion:
     def test_vector_left_operand(self, rng):
         c = random_vector(rng, 2, 4)
         d = random_vector(rng, 2, 4)
-        out = compose(c, d, 4)
-        assert isinstance(out, VectorSeries) and len(out) == 2
-        assert out[0] == compose(c[0], d, 4)
+        for op in (compose, modified_compose):
+            out = op(c, d, 4)
+            assert isinstance(out, VectorSeries) and len(out) == 2
+            assert out[0] == op(c[0], d, 4)
+            assert out[1] == op(c[1], d, 4)
+
+
+def left_operands(c):
+    """The scalar c, and c inside a vector."""
+    return (c, VectorSeries([c, c]))
 
 
 class TestNonFinite:
     def test_overflow_raises(self):
-        # the image of x1 is 1e300 x0, so x0 gets 1e300 * 1e300
+        # the image of x1 holds 1e300 x0, so x0 gets 1e300 * 1e300
         c = Series(2, 2, {(1,): 1e300})
         d = VectorSeries([Series(2, 2, {(): 1e300})])
-        with pytest.raises(NonFiniteError, match="inf in a composition"):
-            compose(c, d)
+        for op in (compose, modified_compose):
+            for left in left_operands(c):
+                with pytest.raises(NonFiniteError, match="inf in a composition"):
+                    op(left, d)
 
     def test_nan_raises(self):
         # x0 collects 1e300 * 1e300 from x1 and 1e300 * -1e300 from x2
         c = Series(3, 2, {(1,): 1e300, (2,): 1e300})
         d = VectorSeries([Series(3, 2, {(): 1e300}), Series(3, 2, {(): -1e300})])
-        with pytest.raises(NonFiniteError, match="nan in a composition"):
-            compose(c, d)
+        for op in (compose, modified_compose):
+            for left in left_operands(c):
+                with pytest.raises(NonFiniteError, match="nan in a composition"):
+                    op(left, d)
 
 
 class TestModifiedCompose:
@@ -209,6 +220,14 @@ class TestFeedback:
         want = Series(2, 6, {(0,) * k + (1,): float((-1) ** k) for k in range(6)})
         got = closed[0] if isinstance(closed, VectorSeries) else closed
         assert got.max_abs_diff(want) < 1e-12
+
+    def test_matrix_gain_with_a_zero_entry(self, rng):
+        # closed loop built by hand: the loop is gain times plant
+        c = random_vector(rng, 2, 4, n_terms=8)
+        gain = np.array([[2.0, 0.0], [-1.5, 0.5]])
+        loop = VectorSeries([2.0 * c[0], -1.5 * c[0] + 0.5 * c[1]])
+        want = modified_compose(c, group_inverse(-1.0 * loop, 4), 4)
+        assert feedback_product(c, gain, 4).max_abs_diff(want) == 0.0
 
     def test_matrix_gain_shape_check(self, rng):
         c = random_vector(rng, 2, 4)

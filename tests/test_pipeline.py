@@ -68,6 +68,8 @@ class TestConfig:
             PipelineConfig(total_time=0.0).validate()
         with pytest.raises(ValueError):
             PipelineConfig(handoff="psychic").validate()
+        with pytest.raises(ValueError):
+            PipelineConfig(rk4_steps=0).validate()
 
     def test_json_dict(self):
         doc = PipelineConfig().to_json_dict()
@@ -273,6 +275,46 @@ class TestCli:
         out = capsys.readouterr().out
         assert "collision-free: True" in out
         assert (outdir / "overlay.svg").exists()
+
+    @staticmethod
+    def write_inputs(path, **overrides):
+        section = {
+            "duration": 0.1,
+            "init": {"z1": 0.0, "z2": 0.0, "z3": 0.0, "z4": 0.1, "z5": 1.0},
+            "steering_rate": [0.0],
+            "speed_rate": [0.0],
+        }
+        section.update(overrides)
+        path.write_text(json.dumps({"params": {"L": 1.0, "k": -0.7}, "sections": [section]}))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"init": {"z1": 0.0, "z2": 0.0, "z3": 0.0, "z4": 0.1}},  # no z5
+            {"init": [0.0, 0.0, 0.0, 0.1, 1.0]},
+            {"duration": "short"},
+        ],
+    )
+    def test_exit_code_2_for_malformed_simulate_inputs(self, tmp_path, capsys, overrides):
+        inputs = tmp_path / "inputs.json"
+        self.write_inputs(inputs, **overrides)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--inputs", str(inputs), "--out", str(out)]) == 2
+        assert "malformed inputs document" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exit_code_1_for_zero_steps(self, tmp_path, capsys):
+        inputs = tmp_path / "inputs.json"
+        self.write_inputs(inputs)
+        m = tmp_path / "map.json"
+        save_map(empty_map(), m)
+        for argv in (
+            ["simulate", "--inputs", str(inputs), "--out", str(tmp_path / "traj.csv")],
+            ["pipeline", "--map", str(m), "--outdir", str(tmp_path / "run")],
+        ):
+            assert main(argv + ["--steps", "0"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_series_ops(self, tmp_path):
         a = tmp_path / "a.json"

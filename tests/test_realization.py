@@ -7,6 +7,7 @@ from fliess import Series, symexpr as se
 from fliess.errors import EvaluationError, SimulationError
 from fliess.inversion import TaylorOutput, left_invert, tracking_error_series
 from fliess.realization import (
+    _TABLE_CACHE,
     ControlSignal,
     Realization,
     Trajectory,
@@ -84,6 +85,12 @@ class TestGeneratingSeries:
             checked = Series(comp.alphabet_size, comp.max_degree, comp.terms_dict())
             assert (checked.alphabet_size, checked.max_degree) == (3, 8)
             assert list(checked.terms_dict().items()) == list(comp.terms_dict().items())
+
+    def test_cache_gauges_count_entries(self):
+        # the per-layer cache gauges of perfbench read these by name
+        generating_series(double_integrator(), 3)
+        for cache in (_TABLE_CACHE, se._TABLE, se._DIFF_CACHE):
+            assert len(cache) > 0
 
     def test_alphabet_and_degree(self):
         c = generating_series(double_integrator(), 3)
