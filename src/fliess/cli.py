@@ -35,7 +35,16 @@ from fliess.planner import (
     smooth_and_spline,
 )
 from fliess.realization import ControlSignal, Trajectory, rk4_simulate
-from fliess.series import dump_json, load_json_document, series_from_json, shuffle, shuffle_inverse
+from fliess.series import (
+    MatrixSeries,
+    Series,
+    VectorSeries,
+    dump_json,
+    load_json_document,
+    series_from_json,
+    shuffle,
+    shuffle_inverse,
+)
 from fliess.vehicle import CarParams, SectionInit, augmented_realization
 
 
@@ -174,16 +183,42 @@ def _load_series_arg(path):
     return series_from_json(load_json_document(path))
 
 
+_KIND = {Series: "scalar", VectorSeries: "vector", MatrixSeries: "matrix"}
+
+# (--in, --in2) operand kinds each operation accepts; None where --in2
+# holds no series
+_OPERANDS = {
+    "shuffle": {
+        ("scalar", "scalar"),
+        ("scalar", "vector"),
+        ("vector", "scalar"),
+        ("matrix", "matrix"),
+        ("matrix", "vector"),
+    },
+    "compose": {("scalar", "vector"), ("vector", "vector")},
+    "ginverse": {("scalar", None), ("vector", None)},
+    "shinverse": {("scalar", None), ("matrix", None)},
+    "invert-op": {("scalar", None), ("vector", None)},
+}
+
+
+def _check_operands(op, a, b):
+    kinds = (_KIND[type(a)], None if b is None else _KIND[type(b)])
+    if kinds not in _OPERANDS[op]:
+        shown = kinds[0] if b is None else f"{kinds[0]} and {kinds[1]}"
+        raise MapFormatError(f"series {op} does not accept {shown} operands")
+
+
 def cmd_series(args):
     op = args.op
     if op in ("shuffle", "compose", "invert-op") and not args.infile2:
         raise MapFormatError(f"series {op} needs --in2")
     a = _load_series_arg(args.infile)
+    b = _load_series_arg(args.infile2) if op in ("shuffle", "compose") else None
+    _check_operands(op, a, b)
     if op == "shuffle":
-        b = _load_series_arg(args.infile2)
         result = shuffle(a, b, args.degree)
     elif op == "compose":
-        b = _load_series_arg(args.infile2)
         result = compose(a, b, args.degree)
     elif op == "ginverse":
         result = group_inverse(a, args.degree)

@@ -20,6 +20,7 @@ the segment-by-segment check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -34,10 +35,16 @@ from fliess.vehicle import CarParams, SectionInit, solve_first_order_match
 
 _FACTORIALS = (1.0, 1.0, 2.0, 6.0)
 
-# Relative padding of an obstacle's box in the polyline broad phase.  The
-# predicates' rounded closest points and ray crossings stray outside the
-# exact box by a few ulps of the largest coordinate; this is far above it.
+# Relative padding of an obstacle's box in the segment and polyline broad
+# phases.  The predicates' rounded closest points and ray crossings stray
+# outside the exact box by a few ulps of the largest coordinate; this is
+# far above it.
 _BOX_PAD = 1e-9
+
+
+def _box_pad(scale, box):
+    """Padding of an obstacle box for a path whose largest |coordinate| is scale."""
+    return _BOX_PAD * (1.0 + max(scale, *map(abs, box)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +180,16 @@ class Polygon:
                 return True
         return False
 
-    def box(self, margin=0.0):
-        """(xmin, ymin, xmax, ymax) outside which nothing collides."""
+    @functools.cached_property
+    def _bounds(self):
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
-        return (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+        return (min(xs), min(ys), max(xs), max(ys))
+
+    def box(self, margin=0.0):
+        """(xmin, ymin, xmax, ymax) outside which nothing collides."""
+        xmin, ymin, xmax, ymax = self._bounds
+        return (xmin - margin, ymin - margin, xmax + margin, ymax + margin)
 
     def to_json_dict(self):
         return {"type": "polygon", "vertices": [list(v) for v in self.vertices]}
@@ -214,9 +226,30 @@ class ObstacleMap:
         return not any(ob.collides_point(p, margin) for ob in self.obstacles)
 
     def segment_free(self, a, b, margin=0.0):
+        """True when the segment stays in bounds and touches no obstacle.
+
+        An obstacle reaches the exact collides_segment only when the
+        segment's box meets its box padded as in polyline_free; a
+        comparison with NaN proves nothing, so it keeps the obstacle.
+        """
         if not (self.in_bounds(a, margin) and self.in_bounds(b, margin)):
             return False
-        return not any(ob.collides_segment(a, b, margin) for ob in self.obstacles)
+        lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
+        lo_y, hi_y = min(a[1], b[1]), max(a[1], b[1])
+        scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+        for ob in self.obstacles:
+            box = ob.box(margin)
+            pad = _box_pad(scale, box)
+            if (
+                hi_x < box[0] - pad
+                or hi_y < box[1] - pad
+                or lo_x > box[2] + pad
+                or lo_y > box[3] + pad
+            ):
+                continue
+            if ob.collides_segment(a, b, margin):
+                return False
+        return True
 
     def polyline_free(self, points, margin=0.0):
         """True when every segment of the polyline is segment_free.
@@ -243,7 +276,7 @@ class ObstacleMap:
         scale = float(np.abs(pts).max())
         for ob in self.obstacles:
             box = ob.box(margin)
-            pad = _BOX_PAD * (1.0 + max(scale, *map(abs, box)))
+            pad = _box_pad(scale, box)
             near = ~(
                 (hi[:, 0] < box[0] - pad)
                 | (hi[:, 1] < box[1] - pad)

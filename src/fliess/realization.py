@@ -11,10 +11,13 @@ innermost-first along the word:
     coeff = L_{g_{ik}} ( ... L_{g_{i2}} ( L_{g_{i1}} h ) ... ) (z0)
 
 so the first letter of a word names the outermost time integral of
-the matching iterated-integral functional.  The symbolic derivative
-table depends only on the vector fields, not the initial state, and
-is cached so re-evaluating the series along a sectioned trajectory
-costs one expression-table evaluation per section.
+the matching iterated-integral functional.  The expressions may read
+constant parameters as variables after the states; their values
+travel with the realization and are neither integrated nor stepped.
+The symbolic derivative table depends only on the vector fields, not
+on the initial state or the parameter values, and is cached, so
+re-evaluating the series along a sectioned trajectory, or for another
+parameter value, costs one expression-table evaluation.
 
 The functional evaluator sums coefficient-weighted iterated integrals
 on a shared uniform grid (trapezoid rule, 2000 points per unit time by
@@ -44,17 +47,21 @@ class Realization:
     """Input-affine system with symbolic fields.
 
     fields: list of m+1 vector fields (drift first), each a list of n
-    expressions; outputs: list of expressions; z0: initial state.
+    expressions; outputs: list of expressions; z0: initial state;
+    params: values of the variables z_{n+1}, z_{n+2}, ... that the
+    expressions read as constant parameters.
     """
 
     fields: tuple
     outputs: tuple
     z0: tuple
+    params: tuple
 
-    def __init__(self, fields, outputs, z0):
+    def __init__(self, fields, outputs, z0, params=()):
         fields = tuple(tuple(col) for col in fields)
         outputs = tuple(outputs)
         z0 = tuple(float(v) for v in z0)
+        params = tuple(float(v) for v in params)
         n = len(z0)
         if not fields:
             raise ValueError("need at least the drift field")
@@ -64,6 +71,7 @@ class Realization:
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "z0", z0)
+        object.__setattr__(self, "params", params)
 
     @property
     def n_states(self):
@@ -78,13 +86,14 @@ class Realization:
         return len(self.outputs)
 
     def with_initial_state(self, z0):
-        return Realization(self.fields, self.outputs, z0)
+        return Realization(self.fields, self.outputs, z0, self.params)
 
     def to_json_dict(self):
         return {
             "n": self.n_states,
             "m": self.n_inputs,
             "z0": list(self.z0),
+            "params": list(self.params),
             "fields": [[symexpr.to_text(e) for e in col] for col in self.fields],
             "outputs": [symexpr.to_text(e) for e in self.outputs],
         }
@@ -92,11 +101,12 @@ class Realization:
     @classmethod
     def from_json_dict(cls, obj):
         try:
-            n = obj["n"]
-            fields = [[symexpr.parse_expr(t, n) for t in col] for col in obj["fields"]]
-            outputs = [symexpr.parse_expr(t, n) for t in obj["outputs"]]
-            return cls(fields, outputs, obj["z0"])
-        except (KeyError, TypeError) as exc:
+            params = obj.get("params", [])
+            n_vars = obj["n"] + len(params)
+            fields = [[symexpr.parse_expr(t, n_vars) for t in col] for col in obj["fields"]]
+            outputs = [symexpr.parse_expr(t, n_vars) for t in obj["outputs"]]
+            return cls(fields, outputs, obj["z0"], params)
+        except (KeyError, TypeError, ValueError) as exc:
             raise MapFormatError(f"malformed realization document: {exc}") from exc
 
 
@@ -161,12 +171,13 @@ def generating_series(realization, degree):
     if degree < 0:
         raise ValueError("max_degree must be nonnegative")
     table = _coefficient_table(realization.fields, realization.outputs, degree)
+    point = realization.z0 + realization.params
     memo = {}
     per_output = [dict() for _ in realization.outputs]
     for (word, out_idx), phi in table.items():
         if len(word) > degree:
             continue
-        value = symexpr.evaluate(phi, realization.z0, memo)
+        value = symexpr.evaluate(phi, point, memo)
         if abs(value) > EPS:
             per_output[out_idx][word] = value
     alphabet = realization.n_inputs + 1
@@ -343,10 +354,10 @@ class Trajectory:
         ell = self.outputs.shape[1]
         header = ",".join(["t"] + [f"z{i+1}" for i in range(n)] + [f"y{j+1}" for j in range(ell)])
         data = np.column_stack([self.times, self.states, self.outputs])
+        row = ",".join(["{:.15g}"] * data.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
+            fh.writelines(row.format(*values.tolist()) for values in data)
 
 
 def rk4_simulate(realization, u, horizon, steps):
@@ -354,13 +365,15 @@ def rk4_simulate(realization, u, horizon, steps):
 
     The input is evaluated once per call, vectorised on each stage-time
     grid (t_k, t_k + h/2, t_k + h); the steps then run on Python floats
-    through the compiled fields.  Raises SimulationError with the first
-    offending time if the state leaves the finite range.
+    through the compiled fields, which read the parameters after the
+    state.  Raises SimulationError with the first offending time if the
+    state leaves the finite range.
     """
     if steps < 1:
         raise ValueError("RK4 needs at least one step")
     n = realization.n_states
     m = realization.n_inputs
+    params = list(realization.params)
     field_fn = _compiled(tuple(e for col in realization.fields for e in col), n)
     out_fn = _compiled(realization.outputs, n)
 
@@ -375,7 +388,7 @@ def rk4_simulate(realization, u, horizon, steps):
         u_start = u_mid = u_end = [()] * steps
 
     def rhs(z, uv):
-        vals = field_fn(z)
+        vals = field_fn(z + params)
         out = vals[:n]
         for i in range(m):
             ui = uv[i]
@@ -406,7 +419,7 @@ def rk4_simulate(realization, u, horizon, steps):
             raise SimulationError(times[k + 1])
         states.append(z)
     states = np.array(states)
-    outputs = np.array([out_fn(s) for s in states])
+    outputs = np.array([out_fn([*s, *params]) for s in states])
     return Trajectory(times=times, states=states, outputs=outputs)
 
 
@@ -419,16 +432,17 @@ def taylor_outputs(realization, u, degree):
     coefficient k of dz/dt = g0(z) + sum_i g_i(z) u_i(t), so
     z_{k+1} = [dz/dt]_k / (k+1).  The truncated generating series of
     the same degree gives these coefficients exactly, so both agree up
-    to rounding.  Returns an (ell, degree+1) array in series convention
-    (row j holds y_j^(k)(0)).  Raises EvaluationError when a jet meets a
-    zero denominator, a zero base with a negative exponent, or a
-    non-finite value.
+    to rounding.  The parameters' jets are constant.  Returns an
+    (ell, degree+1) array in series convention (row j holds
+    y_j^(k)(0)).  Raises EvaluationError when a jet meets a zero
+    denominator, a zero base with a negative exponent, or a non-finite
+    value.
     """
     n, m = realization.n_states, realization.n_inputs
     if len(u) != m:
         raise ValueError(f"need {m} input expansions, got {len(u)}")
     flat = [e for col in realization.fields for e in col]
-    tape = symexpr.JetTape(flat + list(realization.outputs), n)
+    tape = symexpr.JetTape(flat + list(realization.outputs), n, realization.params)
     jets = tape.jets
     # per state: the drift's slot and the (input, slot) pairs of its
     # nonzero input-field components

@@ -448,14 +448,17 @@ class JetTape:
     Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
     ``jets[slot]`` is the coefficient list of one node; the first n_vars
     slots are the state variables' jets, which the caller extends, and
-    ``slots[i]`` is the slot of ``exprs[i]``.  Products and positive
+    ``slots[i]`` is the slot of ``exprs[i]``.  The variables after the
+    states stand for ``params``, in order: their jets are constant, so
+    they hold coefficient 0 only.  Products and positive
     integer powers are split into binary Cauchy products, negative powers
     take the power recurrence, sin and cos of one argument share a rule,
     and tan carries 1 + tan^2 in a slot of its own.
     """
 
-    def __init__(self, exprs, n_vars):
+    def __init__(self, exprs, n_vars, params=()):
         self.n_vars = n_vars
+        self.params = tuple(params)
         self.jets = [[] for _ in range(n_vars)]
         self._code = []  # (rule, out slot, argument slots, parameter)
         self._slots = {}
@@ -476,9 +479,12 @@ class JetTape:
         if slot is not None:
             return slot
         k = e.kind
-        if k == VAR:
-            if e.value >= self.n_vars:
-                raise ValueError(f"variable z{e.value + 1} outside the jet's state dimension")
+        if k == VAR and e.value >= self.n_vars:
+            p = e.value - self.n_vars
+            if p >= len(self.params):
+                raise ValueError(f"variable z{e.value + 1} outside the jet's state and parameters")
+            slot = self._new(_jet_const, (), self.params[p])
+        elif k == VAR:
             slot = e.value
         elif k == CONST:
             slot = self._new(_jet_const, (), e.value)

@@ -21,6 +21,12 @@ fifth state z5 with the speed rate as new input:
 Input letters are fixed throughout: x1 is the steering rate u2 and x2
 is the extended speed-rate input; the vector relative degree is (2, 2)
 wherever z5 (the speed) is nonzero.
+
+L and k enter both models as symbols, the two variables after the
+states (z5, z6 for the four-state model; z6, z7 for the extension),
+and their values travel with the realization as its parameters.  So
+every CarParams shares one set of field expressions, and one
+Lie-derivative table per series degree.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import asdict, dataclass
 from fliess import symexpr
 from fliess.errors import SingularDecouplingError
 from fliess.realization import Realization
-from fliess.symexpr import cos, const, div, mul, sin, var
+from fliess.symexpr import cos, div, mul, sin, sub, var
 
 
 @dataclass(frozen=True)
@@ -68,24 +74,24 @@ class SectionInit:
         return self
 
 
-def _heading_rate_expr(params, z4_index):
-    z4 = var(z4_index)
-    num = sin(mul(const(1.0 - params.k), z4))
-    den = mul(const(params.length), cos(mul(const(params.k), z4)))
-    return div(num, den)
+def _heading_rate_expr(n_states):
+    """sin((1 - k) z4) / (L cos(k z4)), with L and k the variables after the states."""
+    z4, length, k = var(3), var(n_states), var(n_states + 1)
+    return div(sin(mul(sub(symexpr.ONE, k), z4)), mul(length, cos(mul(k, z4))))
 
 
 def car_realization(init, params=CarParams()):
     """Four-state rear-axle-center model; inputs (speed, steering rate)."""
     z3, z4 = var(2), var(3)
     angle = z3 + z4
-    g1 = [cos(angle), sin(angle), _heading_rate_expr(params, 3), symexpr.ZERO]
+    g1 = [cos(angle), sin(angle), _heading_rate_expr(4), symexpr.ZERO]
     g2 = [symexpr.ZERO, symexpr.ZERO, symexpr.ZERO, symexpr.ONE]
     g0 = [symexpr.ZERO] * 4
     return Realization(
         fields=[g0, g1, g2],
         outputs=[var(0), var(1)],
         z0=tuple(init),
+        params=(params.length, params.k),
     )
 
 
@@ -98,7 +104,7 @@ def augmented_realization(init, params=CarParams()):
     g0 = [
         mul(z5, cos(angle)),
         mul(z5, sin(angle)),
-        mul(z5, _heading_rate_expr(params, 3)),
+        mul(z5, _heading_rate_expr(5)),
         symexpr.ZERO,
         symexpr.ZERO,
     ]
@@ -108,6 +114,7 @@ def augmented_realization(init, params=CarParams()):
         fields=[g0, g1, g2],
         outputs=[var(0), var(1)],
         z0=tuple(init),
+        params=(params.length, params.k),
     )
 
 

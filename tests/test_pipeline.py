@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import typing
@@ -9,6 +10,7 @@ import fliess
 import fliess.composition
 import fliess.inversion
 import fliess.pipeline
+import fliess.realization
 import fliess.series
 from fliess import symexpr as se
 from fliess.cli import main
@@ -24,7 +26,7 @@ from fliess.pipeline import (
 )
 from fliess.planner import ObstacleMap, bundled_map, fit_spline, save_map
 from fliess.realization import Realization, generating_series, taylor_outputs
-from fliess.series import Series, VectorSeries, dump_json
+from fliess.series import MatrixSeries, Series, VectorSeries, dump_json
 from fliess.vehicle import augmented_realization
 
 
@@ -102,6 +104,25 @@ class TestRunSection:
             spline.sections[0], spline.sections[0].init, fast_cfg(), state_jump=(0.1, -0.2)
         )
         assert report.state_jump == (0.1, -0.2)
+
+
+class TestBoundedCaches:
+    def test_no_cache_grows_with_distinct_gains(self):
+        # perfbench's per-layer gauges read these four caches by name
+        caches = (
+            fliess.realization._TABLE_CACHE,
+            fliess.realization._COMPILED,
+            se._TABLE,
+            se._DIFF_CACHE,
+        )
+        section, cfg = curved_section(), fast_cfg()
+        sizes = []
+        for i in range(100):
+            params = fliess.CarParams(length=0.7 + 0.008 * i, k=-0.95 + 0.005 * i)
+            run_section(section, section.init, dataclasses.replace(cfg, params=params))
+            sizes.append(tuple(len(cache) for cache in caches))
+        assert all(size > 0 for size in sizes[0])
+        assert set(sizes) == {sizes[0]}
 
 
 class TestIdentityGate:
@@ -371,6 +392,28 @@ class TestCli:
         assert main(["series", "shinverse", "--in", str(a), "--out", str(tmp_path / "o")]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "op,first,second",
+        [
+            ("shuffle", "matrix", "scalar"),
+            ("compose", "vector", "scalar"),
+            ("compose", "matrix", "vector"),
+            ("shinverse", "vector", None),
+        ],
+    )
+    def test_exit_code_2_for_operands_of_the_wrong_kind(self, tmp_path, capsys, op, first, second):
+        s = Series(3, 3, {(): 1.0, (1,): 0.5})
+        docs = {"scalar": s, "vector": VectorSeries([s, s]), "matrix": MatrixSeries([[s, s], [s, s]])}
+        argv = ["series", op, "--out", str(tmp_path / "o")]
+        for flag, kind in (("--in", first), ("--in2", second)):
+            if kind is not None:
+                dump_json(docs[kind], tmp_path / f"{kind}.json")
+                argv += [flag, str(tmp_path / f"{kind}.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: series {op} does not accept {first}")
+        assert not (tmp_path / "o").exists()
+
     def test_exit_code_4_for_non_finite_coefficient(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         # json writes the non-standard NaN literal and reads it back as float('nan')
@@ -384,7 +427,9 @@ class TestCli:
         def with_pole(realization, u, degree):
             # an extra output 1/(z1 - z1(0)) puts a zero denominator in its jet
             pole = 1.0 / (se.var(0) - realization.z0[0])
-            extended = Realization(realization.fields, realization.outputs + (pole,), realization.z0)
+            extended = Realization(
+                realization.fields, realization.outputs + (pole,), realization.z0, realization.params
+            )
             return taylor_outputs(extended, u, degree)
 
         monkeypatch.setattr(fliess.pipeline, "taylor_outputs", with_pole)

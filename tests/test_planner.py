@@ -36,10 +36,17 @@ def empty_map(start=(1.0, 1.0), goal=(9.0, 9.0)):
     return ObstacleMap(bounds=(0, 0, 10, 10), obstacles=(), start=start, goal=goal)
 
 
+def literal_segment_free(obstacle_map, a, b, margin=0.0):
+    """Reference: both ends in bounds, and the exact predicate of every obstacle."""
+    if not (obstacle_map.in_bounds(a, margin) and obstacle_map.in_bounds(b, margin)):
+        return False
+    return not any(ob.collides_segment(a, b, margin) for ob in obstacle_map.obstacles)
+
+
 def literal_polyline_free(obstacle_map, points, margin=0.0):
-    """Reference: every segment through segment_free, one by one."""
+    """Reference: every segment through the exact predicates, one by one."""
     return all(
-        obstacle_map.segment_free(points[i], points[i + 1], margin)
+        literal_segment_free(obstacle_map, points[i], points[i + 1], margin)
         for i in range(len(points) - 1)
     )
 
@@ -182,6 +189,8 @@ ROUNDED_CROSSING = (
 def assert_agrees(obstacle_map, points, margin=0.0):
     got = obstacle_map.polyline_free(points, margin)
     assert got == literal_polyline_free(obstacle_map, points, margin)
+    for a, b in zip(points, points[1:]):
+        assert obstacle_map.segment_free(a, b, margin) == literal_segment_free(obstacle_map, a, b, margin)
     return got
 
 
@@ -350,6 +359,32 @@ class TestRrt:
         tree = RrtTree(nodes=((0.0, 0.0),), parents=(-1,), goal_index=-1)
         with pytest.raises(PlanningError):
             extract_path(tree)
+
+
+class TestSegmentBroadPhase:
+    def test_random_segments_match_the_exact_predicates(self, rng):
+        decisions = set()
+        for m in (bundled_map(), walled_goal_map()):
+            xmin, ymin, xmax, ymax = m.bounds
+            for margin in (0.0, 0.3):
+                for _ in range(400):
+                    a, b = (tuple(p) for p in rng.uniform((xmin, ymin), (xmax, ymax), size=(2, 2)))
+                    got = m.segment_free(a, b, margin)
+                    assert got == literal_segment_free(m, a, b, margin)
+                    decisions.add(got)
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 42])
+    def test_planned_paths_unchanged(self, seed, monkeypatch):
+        m = bundled_map()
+
+        def plan():
+            raw = extract_path(rrt_plan(m, seed=seed))
+            return raw, smooth_path(raw, m, seed=seed + 1)
+
+        got = plan()
+        monkeypatch.setattr(ObstacleMap, "segment_free", literal_segment_free)
+        assert plan() == got
 
 
 class TestSmoothing:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fliess import Series, symexpr as se
-from fliess.errors import EvaluationError, SimulationError
+from fliess.errors import EvaluationError, MapFormatError, SimulationError
 from fliess.inversion import TaylorOutput, left_invert, tracking_error_series
 from fliess.realization import (
     _TABLE_CACHE,
@@ -225,11 +225,12 @@ def literal_rk4_simulate(realization, u, horizon, steps):
     """RK4 on numpy state vectors with the input evaluated at every stage."""
     n = realization.n_states
     m = realization.n_inputs
+    params = list(realization.params)
     raw = se.compile_expr([e for col in realization.fields for e in col], n)
     out_fn = se.compile_expr(list(realization.outputs), n)
 
     def field_fn(z, uv):
-        vals = raw(z)
+        vals = raw([*z, *params])
         out = vals[:n]
         for i in range(m):
             gi = vals[(i + 1) * n : (i + 2) * n]
@@ -256,7 +257,7 @@ def literal_rk4_simulate(realization, u, horizon, steps):
         if not np.all(np.isfinite(z)):
             raise SimulationError(times[k + 1])
         states[k + 1] = z
-    outputs = np.array([out_fn(s) for s in states])
+    outputs = np.array([out_fn([*s, *params]) for s in states])
     return Trajectory(times=times, states=states, outputs=outputs)
 
 
@@ -332,6 +333,15 @@ class TestSimulation:
         y = fliess_eval(c, u, grid)
         assert abs(y[-1, 0] - traj.outputs[-1, 0]) < 1e-8
         assert abs(y[-1, 1] - traj.outputs[-1, 1]) < 1e-8
+
+    def test_csv_bytes_equal_per_value_formatting(self, tmp_path):
+        values = np.array([[0.0, -0.0, 1e-300, 1e300], [1.0, -3.0, 2.5, 1e-7], [2.0, 1e15, -1e16, math.pi]])
+        traj = Trajectory(times=values[:, 0], states=values[:, 1:3], outputs=values[:, 3:])
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        rows = ["t,z1,z2,y1"] + [",".join(f"{v:.15g}" for v in row) for row in values]
+        assert path.read_text() == "\n".join(rows) + "\n"
+        assert path.read_text().splitlines()[1] == "0,-0,1e-300,1e+300"
 
     def test_csv_round_trip(self, tmp_path):
         r = double_integrator(0.0, 1.0)
@@ -437,9 +447,81 @@ class TestRealizationObject:
         assert r2.fields == r.fields
 
     def test_json_round_trip(self):
-        r = augmented_realization((0.1, -0.2, 0.3, 0.4, 1.5))
+        r = augmented_realization((0.1, -0.2, 0.3, 0.4, 1.5), CarParams(1.4, -0.35))
         r2 = Realization.from_json_dict(r.to_json_dict())
         assert r2.z0 == r.z0
+        assert r2.params == (1.4, -0.35)
         c1 = generating_series(r, 4)
         c2 = generating_series(r2, 4)
         assert c1.max_abs_diff(c2) < 1e-12
+
+    def test_parameter_symbols_parse(self):
+        r = augmented_realization((0.1, -0.2, 0.3, 0.4, 1.5))
+        text = se.to_text(r.fields[0][2])
+        assert "z6" in text and "z7" in text
+        back = se.parse_expr(text, 7)
+        assert se.to_text(back) == text
+        point = r.z0 + r.params
+        assert se.evaluate(back, point) == pytest.approx(se.evaluate(r.fields[0][2], point), rel=1e-15)
+        for params in ([1.0], ["long"]):  # z7 undeclared; a non-numeric value
+            with pytest.raises(MapFormatError):
+                Realization.from_json_dict(dict(r.to_json_dict(), params=params))
+
+    def test_with_initial_state_keeps_parameters(self):
+        r = augmented_realization((0.1, -0.2, 0.3, 0.4, 1.5), CarParams(1.4, -0.35))
+        assert r.with_initial_state((0.0,) * 5).params == (1.4, -0.35)
+
+
+def folded_car(init, params):
+    """The extended car with L and k folded into the fields as constants."""
+    z3, z4, z5 = se.var(2), se.var(3), se.var(4)
+    heading = se.div(
+        se.sin(se.mul(se.const(1.0 - params.k), z4)),
+        se.mul(se.const(params.length), se.cos(se.mul(se.const(params.k), z4))),
+    )
+    g0 = [z5 * se.cos(z3 + z4), z5 * se.sin(z3 + z4), z5 * heading, se.ZERO, se.ZERO]
+    g1 = [se.ZERO, se.ZERO, se.ZERO, se.ONE, se.ZERO]
+    g2 = [se.ZERO, se.ZERO, se.ZERO, se.ZERO, se.ONE]
+    return Realization([g0, g1, g2], [se.var(0), se.var(1)], init)
+
+
+PARAM_PAIRS = [(1.0, -0.7), (1.3, -0.55), (0.6, 0.3), (2.5, -0.95), (1.0, 0.0), (0.8, 1.0)]
+
+
+class TestSymbolicCarParameters:
+    """L and k as symbols against the constant-folded fields."""
+
+    @pytest.mark.parametrize("length,k", PARAM_PAIRS)
+    def test_series_equals_folded_construction(self, length, k):
+        # both are roundings of one table; coefficients that cancel to
+        # far below their order's largest differ in relative terms, so
+        # each difference is measured against that order's scale
+        init = (0.4, -0.3, 0.2, 0.5, 1.7)
+        params = CarParams(length, k)
+        got = generating_series(augmented_realization(init, params), 8)
+        want = generating_series(folded_car(init, params), 8)
+        for g, w in zip(got, want):
+            g_terms, w_terms = g.terms_dict(), w.terms_dict()
+            assert g_terms.keys() == w_terms.keys()
+            scale = {}
+            for word, v in w_terms.items():
+                scale[len(word)] = max(scale.get(len(word), 0.0), abs(v))
+            for word, v in w_terms.items():
+                assert abs(g_terms[word] - v) <= 1e-14 * scale[len(word)]
+
+    @pytest.mark.parametrize("length,k", PARAM_PAIRS)
+    def test_taylor_outputs_equal_folded_construction(self, length, k, rng):
+        init = (0.4, -0.3, 0.2, 0.5, 1.7)
+        params = CarParams(length, k)
+        u = rng.normal(size=(2, 7)) * 10.0
+        got = taylor_outputs(augmented_realization(init, params), u, 8)
+        want = taylor_outputs(folded_car(init, params), u, 8)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_one_field_expression_set_for_every_car(self):
+        a = augmented_realization((0.0,) * 5, CarParams(1.0, -0.7))
+        b = augmented_realization((0.0,) * 5, CarParams(2.0, 0.4))
+        assert a.fields == b.fields and a.outputs == b.outputs
+        assert (a.params, b.params) == ((1.0, -0.7), (2.0, 0.4))
+        four = car_realization((0.0,) * 4, CarParams(2.0, 0.4))
+        assert four.params == (2.0, 0.4)
