@@ -62,7 +62,6 @@ from fliess.realization import (
     Trajectory,
     fliess_eval,
     generating_series,
-    growth_estimate,
     lie_derivative,
     rk4_simulate,
     taylor_outputs,
@@ -84,7 +83,6 @@ from fliess.vehicle import (
     SectionInit,
     augmented_realization,
     car_realization,
-    growth_constants,
     solve_first_order_match,
 )
 
@@ -140,8 +138,6 @@ __all__ = [
     "fliess_eval",
     "generating_series",
     "group_inverse",
-    "growth_constants",
-    "growth_estimate",
     "left_invert",
     "left_shift",
     "letter_prefixed",

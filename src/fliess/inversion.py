@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fliess import symexpr
 from fliess.composition import compose
 from fliess.errors import (
     ConvergenceError,
@@ -50,14 +51,15 @@ from fliess.errors import (
     NonFiniteError,
     SingularDecouplingError,
 )
+from fliess.realization import planned
 from fliess.series import (
+    EPS,
     SINGULARITY_RTOL,
     Series,
     VectorSeries,
     _suffix_closure,
     constant_term_inverse,
     drift_word,
-    left_shift,
     word_key,
 )
 
@@ -148,24 +150,57 @@ def _leading_drift_count(word):
     return k
 
 
+def _linear_positions(plan):
+    """Positions of the drift words x0^k and the linear words x0^k x_j, keyed (output, word)."""
+    return {
+        (i, w): lo + q
+        for i, (words, lo) in enumerate(zip(plan.words, plan.offsets))
+        for q, w in enumerate(words)
+        if not any(w[:-1])
+    }
+
+
+def _coeff(plan, values, i, word):
+    """Coefficient of a drift or linear word in component i: its value, zero when |value| <= EPS."""
+    p = plan.derive("linear", _linear_positions).get((i, word))
+    if p is None:
+        return 0.0
+    v = values[p]
+    return v if abs(v) > EPS else 0.0
+
+
+def _forced_by_shift(plan):
+    """Per output, the positions of its forced words grouped by leading drift count, ascending."""
+    out = []
+    for words, lo in zip(plan.words, plan.offsets):
+        groups = {}
+        for q, w in enumerate(words):
+            if any(w):
+                groups.setdefault(_leading_drift_count(w), []).append(lo + q)
+        out.append([(k, np.array(groups[k])) for k in sorted(groups)])
+    return out
+
+
 def relative_degree(c):
     """Vector relative degree of a square vector series.
 
     For each component, r_i - 1 is the least number of leading drift
     letters over the forced support, the linear word x0^(r_i-1) x_j
     must actually appear, and the resulting constant decoupling matrix
-    must pass the singular-value rank test.
+    must pass the singular-value rank test.  Reads the values at the
+    plan's positions (see ``fliess.realization.planned``), with the
+    series' EPS filter.
     """
-    if isinstance(c, Series):
-        c = VectorSeries([c])
-    m = c.alphabet_size - 1
+    c = planned(c)
+    plan, values = c.plan, c.values
+    m = plan.alphabet_size - 1
     orders = []
-    for i, comp in enumerate(c):
-        shift = min((_leading_drift_count(w) for w in comp.terms_dict() if any(w)), default=None)
+    for i, forced in enumerate(plan.derive("forced", _forced_by_shift)):
+        shift = next((k for k, group in forced for p in group if abs(values[p]) > EPS), None)
         if shift is None:
             raise NoRelativeDegreeError(i, f"output component {i} has no input dependence")
         r = 1 + shift
-        row = [comp.coeff(drift_word(r - 1) + (j,)) for j in range(1, m + 1)]
+        row = [_coeff(plan, values, i, drift_word(r - 1) + (j,)) for j in range(1, m + 1)]
         if not any(abs(v) > 0.0 for v in row):
             raise NoRelativeDegreeError(
                 i, f"output component {i}: no linear word at shift {r - 1}"
@@ -173,8 +208,8 @@ def relative_degree(c):
         orders.append(r)
     a = np.array(
         [
-            [c[i].coeff(drift_word(orders[i] - 1) + (j,)) for j in range(1, m + 1)]
-            for i in range(len(c))
+            [_coeff(plan, values, i, drift_word(orders[i] - 1) + (j,)) for j in range(1, m + 1)]
+            for i in range(plan.n_outputs)
         ]
     )
     if a.shape[0] != a.shape[1]:
@@ -189,42 +224,108 @@ def relative_degree(c):
     return RelativeDegree(orders=orders, decoupling=a)
 
 
-class _DriftPlan:
-    """Everything a sweep needs that does not depend on u.
+class _ShiftMaps:
+    """Where the plan's values land in the left-shift targets.
 
-    The words of the m*m series of C (row-major) and the m series of w,
-    closed under suffixes, are numbered degree-then-lexicographically;
-    ``weights`` holds the series as rows over that numbering.  ``steps``
-    lists, per word length and head letter, the numbers of the words
-    and of their tails, so each word's image is its tail's image times
-    the head letter's matrix.
+    One per plan, inversion degree and relative degree.  The target
+    rows are C[i][j] = (x0^(r_i-1) x_j)^-1 c_i, row-major, then
+    w_i = (x0^r_i)^-1 (c_i - c_y,i), all truncated to the inversion
+    degree.  Every word a target can hold, closed under suffixes, is
+    numbered in word_key order: ``tails`` gives each word's tail and
+    ``groups`` lists, per word length and head letter, the words and
+    their tails.  ``read`` takes the plan-aligned values, with one zero
+    appended, to the entries: entry e lands at (``rows[e]``,
+    ``cols[e]``).  The entries from ``n_forced`` on are the drift words
+    of w, from which the reference coefficients (i, k) listed in
+    ``drift`` are subtracted; where the plan lacks such a word, the
+    entry reads the appended zero.
     """
 
-    def __init__(self, targets, m, degree, a0_inv):
-        words = _suffix_closure(w for terms in targets for w in terms)
-        index = {w: i for i, w in enumerate(sorted(words, key=word_key))}
-        self.weights = np.zeros((len(targets), len(index)))
-        for row, terms in enumerate(targets):
-            for w, coeff in terms.items():
-                self.weights[row, index[w]] = coeff
+    def __init__(self, plan, degree, orders):
+        m = len(orders)
+        linear = plan.derive("linear", _linear_positions)
+        entries, drift_entries = [], []  # (row, target word, plan position)
+        self.drift = []
+        for i, r in enumerate(orders):
+            lo = plan.offsets[i]
+            for q, w in enumerate(plan.words[i]):
+                tail = w[r:]
+                if len(w) < r or len(tail) > degree or any(w[: r - 1]):
+                    continue
+                if w[r - 1]:
+                    entries.append((i * m + w[r - 1] - 1, tail, lo + q))
+                elif any(tail):
+                    entries.append((m * m + i, tail, lo + q))
+            for k in range(r, min(r + degree, plan.degree) + 1):
+                position = linear.get((i, drift_word(k)), plan.n_values)
+                drift_entries.append((m * m + i, drift_word(k - r), position))
+                self.drift.append((i, k))
+        self.n_forced = len(entries)
+        entries += drift_entries
+        words = sorted(_suffix_closure(w for _, w, _ in entries), key=word_key)
+        index = {w: u for u, w in enumerate(words)}
+        self.n_words = len(words)
+        self.rows = np.array([row for row, _, _ in entries], dtype=np.intp)
+        self.cols = np.array([index[w] for _, w, _ in entries], dtype=np.intp)
+        self.read = symexpr.reader([p for _, _, p in entries])
+        self.tails = np.array([index[w[1:]] if w else 0 for w in words], dtype=np.intp)
+        # words of length L occupy [bounds[L], bounds[L + 1])
+        self.bounds = np.searchsorted([len(w) for w in words], np.arange(degree + 2))
         groups = {}
-        for w, i in index.items():
+        for u, w in enumerate(words):
             if w:
-                rows, tails = groups.setdefault((len(w), w[0]), ([], []))
-                rows.append(i)
-                tails.append(index[w[1:]])
-        self.steps = [
-            (head, np.array(rows), np.array(tails))
-            for (_, head), (rows, tails) in sorted(groups.items())
+                groups.setdefault((len(w), w[0]), []).append(u)
+        self.groups = [
+            (head, np.array(us, dtype=np.intp), self.tails[us])
+            for (_, head), us in sorted(groups.items())
         ]
         self.m = m
         self.degree = degree
-        self.a0_inv = a0_inv
         self.pascal = np.array(
             [[math.comb(n, k) for k in range(degree + 1)] for n in range(degree + 1)], dtype=float
         )
         lag = np.subtract.outer(np.arange(degree), np.arange(degree))
         self.lag = np.where(lag >= 0, lag, degree)  # index degree reads a padded zero
+
+
+class _DriftPlan:
+    """Everything a sweep needs that does not depend on u.
+
+    The words of the m*m series of C (row-major) and the m series of w
+    with |coefficient| > EPS, closed under suffixes, are numbered
+    degree-then-lexicographically; ``weights`` holds the series as rows
+    over that numbering.  ``steps`` lists, per word length and head
+    letter, the numbers of the words and of their tails, so each word's
+    image is its tail's image times the head letter's matrix.  Both are
+    gathered from the shift maps on this section's live words: the
+    column set decides the rounding of ``weights @ images``.
+    """
+
+    def __init__(self, maps, values, refs, a0_inv):
+        coeffs = np.array(maps.read(values + (0.0,)))  # the missing word reads the zero
+        coeffs[np.abs(coeffs) <= EPS] = 0.0
+        drift = coeffs[maps.n_forced :]
+        drift -= refs
+        drift[np.abs(drift) <= EPS] = 0.0
+        kept = coeffs != 0.0
+        live = np.zeros(maps.n_words, dtype=bool)
+        live[maps.cols[kept]] = True
+        for length in range(len(maps.bounds) - 2, 0, -1):
+            lo, hi = maps.bounds[length], maps.bounds[length + 1]
+            live[maps.tails[lo:hi][live[lo:hi]]] = True
+        number = np.cumsum(live) - 1
+        self.weights = np.zeros((maps.m * (maps.m + 1), np.count_nonzero(live)))
+        self.weights[maps.rows[kept], number[maps.cols[kept]]] = coeffs[kept]
+        self.steps = []
+        for head, words, tails in maps.groups:
+            on = live[words]
+            if on.any():
+                self.steps.append((head, number[words[on]], number[tails[on]]))
+        self.m = maps.m
+        self.degree = maps.degree
+        self.a0_inv = a0_inv
+        self.pascal = maps.pascal
+        self.lag = maps.lag
 
 
 def _prefixed_shuffle(plan, a):
@@ -267,44 +368,43 @@ def left_invert(c, c_y, degree, matching_tol=MATCHING_TOL):
     the input expansions as a TaylorOutput with coefficients 0..degree:
     the natural part of the group inverse of C^sh-1 sh w, computed as
     the drift-only fixed point described in the module docstring.
-    Raises NonFiniteError when that expansion overflows.
+    Reads c through its table plan and plan-aligned values: a
+    generating series carries them, any other series gets a plan read
+    off its terms.  Raises NonFiniteError when that expansion
+    overflows.
     """
-    if isinstance(c, Series):
-        c = VectorSeries([c])
-    m = c.alphabet_size - 1
-    if len(c) != m:
-        raise SingularDecouplingError(f"need a square plant, got {len(c)} outputs over {m} inputs")
+    c = planned(c)
+    plan, values = c.plan, c.values
+    m = plan.alphabet_size - 1
+    if plan.n_outputs != m:
+        raise SingularDecouplingError(
+            f"need a square plant, got {plan.n_outputs} outputs over {m} inputs"
+        )
     if c_y.n_channels != m:
         raise ValueError(f"reference has {c_y.n_channels} channels, plant has {m} outputs")
     rd = relative_degree(c)
     rmax = max(rd.orders)
-    if c.max_degree < degree + rmax:
+    if plan.degree < degree + rmax:
         raise ValueError(
-            f"plant series degree {c.max_degree} too low: need degree+max(r) = {degree + rmax}"
+            f"plant series degree {plan.degree} too low: need degree+max(r) = {degree + rmax}"
         )
     for i, r in enumerate(rd.orders):
         ref = c_y.coeffs[i]
         for k in range(r):
-            have = c[i].coeff(drift_word(k))
+            have = _coeff(plan, values, i, drift_word(k))
             want = ref[k] if k < ref.size else 0.0
             if abs(have - want) > matching_tol:
                 raise MatchingConditionError(i, k, have, want, matching_tol)
-    # C[i][j] = (x0^(r_i-1) x_j)^-1 (c_i) and w_i = (x0^r_i)^-1 (c_i - c_y,i),
-    # both truncated to the inversion degree
-    targets = [
-        left_shift(drift_word(r - 1) + (j,), c[i]).truncate(degree).terms_dict()
-        for i, r in enumerate(rd.orders)
-        for j in range(1, m + 1)
-    ]
-    for i, r in enumerate(rd.orders):
-        ref_series = c_y.channel(i, c.alphabet_size, c.max_degree)
-        targets.append(left_shift(drift_word(r), c[i] - ref_series).truncate(degree).terms_dict())
-    plan = _DriftPlan(targets, m, degree, constant_term_inverse(rd.decoupling))
+    orders = tuple(rd.orders)
+    maps = plan.derive(("shift", degree, orders), lambda p: _ShiftMaps(p, degree, orders))
+    channels = [c_y.channel(i, plan.alphabet_size, plan.degree) for i in range(m)]
+    refs = np.array([channels[i].coeff(drift_word(k)) for i, k in maps.drift])
+    drift = _DriftPlan(maps, values, refs, constant_term_inverse(rd.decoupling))
     u = np.zeros((m, degree + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         for _ in range(degree + 1):
-            u = _drift_sweep(plan, u)
-        again = _drift_sweep(plan, u)
+            u = _drift_sweep(drift, u)
+        again = _drift_sweep(drift, u)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(again))):
         raise NonFiniteError("input expansion has non-finite coefficients")
     scale = 1.0 + max(np.max(np.abs(u)), np.max(np.abs(again)))

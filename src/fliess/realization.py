@@ -15,9 +15,13 @@ the matching iterated-integral functional.  The expressions may read
 constant parameters as variables after the states; their values
 travel with the realization and are neither integrated nor stepped.
 The symbolic derivative table depends only on the vector fields, not
-on the initial state or the parameter values, and is cached, so
+on the initial state or the parameter values.  Each (fields, outputs,
+degree) gets one TablePlan, cached: it numbers the table's words and
+compiles the table into a straight-line tape (symexpr.SlotTape), so
 re-evaluating the series along a sectioned trajectory, or for another
-parameter value, costs one expression-table evaluation.
+parameter value, costs one run of the tape.  The series keeps its plan
+and the plan-aligned values, and the left inversion reads them
+through index maps it derives once per plan.
 
 The functional evaluator sums coefficient-weighted iterated integrals
 on a shared uniform grid (trapezoid rule, 2000 points per unit time by
@@ -68,6 +72,13 @@ class Realization:
         for col in fields:
             if len(col) != n:
                 raise ValueError("field dimension and state dimension differ")
+        nodes = symexpr.topological([e for col in fields for e in col] + list(outputs))
+        top = max((e.value for e in nodes if e.kind == symexpr.VAR), default=-1)
+        if top >= n + len(params):
+            raise ValueError(
+                f"an expression reads z{top + 1}, "
+                f"but there are {n} states and {len(params)} parameters"
+            )
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "z0", z0)
@@ -123,22 +134,15 @@ def lie_derivative(g, h):
     return symexpr.add(*parts) if parts else symexpr.ZERO
 
 
-# symbolic word -> expression tables, keyed by the (interned, so
-# identity-hashed) field and output expressions
-_TABLE_CACHE = {}
-
-
 def _coefficient_table(fields, outputs, degree):
     """Map each word (up to degree) to one expression per output.
 
     Words whose expression is identically zero are pruned together
     with their whole extension subtree (appending letters to a zero
-    coefficient keeps it zero).
+    coefficient keeps it zero).  The table is built output by output
+    and level by level, appending letters in order to a lexicographic
+    frontier, so its keys run output-major and in word_key order.
     """
-    key = (fields, outputs)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None and cached[0] >= degree:
-        return cached[1]
     table = {}
     for out_idx, h in enumerate(outputs):
         frontier = {(): h}
@@ -157,8 +161,121 @@ def _coefficient_table(fields, outputs, degree):
             frontier = nxt
             if not frontier:
                 break
-    _TABLE_CACHE[key] = (degree, table)
     return table
+
+
+class TablePlan:
+    """The point-independent layout of one truncated Lie-derivative table.
+
+    ``words[i]`` lists output i's symbolically nonzero words in
+    word_key order.  Positions number all of them output-major, output
+    i's block starting at ``offsets[i]``; values aligned with these
+    positions are the plan-aligned values.  ``tape`` evaluates every
+    entry at a point in that order (None for a plan read off a series,
+    whose values come with it).  ``derive`` caches maps that other
+    layers compute from the numbering alone, such as the inversion's
+    shift maps.
+    """
+
+    def __init__(self, words, alphabet_size, degree, tape=None):
+        if not words:
+            raise ValueError("a table plan needs at least one output")
+        self.words = [tuple(ws) for ws in words]
+        self.alphabet_size = alphabet_size
+        self.degree = degree
+        self.tape = tape
+        self.offsets = [0]
+        for ws in self.words[:-1]:
+            self.offsets.append(self.offsets[-1] + len(ws))
+        self.n_values = self.offsets[-1] + len(self.words[-1])
+        self._derived = {}
+
+    @property
+    def n_outputs(self):
+        return len(self.words)
+
+    @classmethod
+    def of_table(cls, fields, outputs, degree):
+        """The plan of the realization table with its compiled tape."""
+        words = [[] for _ in outputs]
+        exprs = []
+        for (word, out_idx), phi in _coefficient_table(fields, outputs, degree).items():
+            words[out_idx].append(word)
+            exprs.append(phi)
+        return cls(words, len(fields), degree, symexpr.SlotTape(exprs))
+
+    @classmethod
+    def of_series(cls, c):
+        """A plan read off a vector series, and the series' plan-aligned values."""
+        items = [comp.items() for comp in c]
+        words = [[w for w, _ in terms] for terms in items]
+        values = tuple(v for terms in items for _, v in terms)
+        return cls(words, c.alphabet_size, c.max_degree), values
+
+    def derive(self, key, build):
+        """build(plan), computed once per key."""
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = build(self)
+        return hit
+
+
+class TableSeries(VectorSeries):
+    """A vector series that keeps the plan and the plan-aligned values it was read from.
+
+    The components hold the values with |value| > EPS, as every series
+    does; they are built on first use, since the left inversion reads
+    the values through the plan instead.  Arithmetic on a TableSeries
+    returns plain vector series.
+    """
+
+    __slots__ = ("plan", "values", "_components")
+
+    def __init__(self, plan, values, components=None):
+        self.plan = plan
+        self.values = values
+        self._components = components
+
+    @property
+    def components(self):
+        if self._components is None:
+            plan, values = self.plan, self.values
+            self._components = [
+                Series._raw(
+                    plan.alphabet_size,
+                    plan.degree,
+                    {w: v for w, v in zip(words, values[lo : lo + len(words)]) if abs(v) > EPS},
+                )
+                for words, lo in zip(plan.words, plan.offsets)
+            ]
+        return self._components
+
+    def __len__(self):
+        return self.plan.n_outputs
+
+
+def planned(c):
+    """The series as a TableSeries: itself, or with a plan read off its terms."""
+    if isinstance(c, Series):
+        c = VectorSeries([c])
+    if isinstance(c, TableSeries):
+        return c
+    plan, values = TablePlan.of_series(c)
+    return TableSeries(plan, values, c.components)
+
+
+# one TablePlan per (fields, outputs, degree), keyed by the interned (so
+# identity-hashed) field and output expressions
+_TABLE_CACHE = {}
+
+
+def table_plan(fields, outputs, degree):
+    """The cached TablePlan of a realization's table."""
+    key = (fields, outputs, degree)
+    plan = _TABLE_CACHE.get(key)
+    if plan is None:
+        plan = _TABLE_CACHE[key] = TablePlan.of_table(fields, outputs, degree)
+    return plan
 
 
 def generating_series(realization, degree):
@@ -166,43 +283,16 @@ def generating_series(realization, degree):
 
     Returns a VectorSeries (one component per output) over the
     alphabet with one drift letter plus one letter per input, truncated
-    to the requested degree.
+    to the requested degree: a TableSeries, which keeps the table's
+    plan and its values for the left inversion.  Raises
+    EvaluationError where a table entry has no finite value.
     """
     if degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    table = _coefficient_table(realization.fields, realization.outputs, degree)
-    point = realization.z0 + realization.params
-    memo = {}
-    per_output = [dict() for _ in realization.outputs]
-    for (word, out_idx), phi in table.items():
-        if len(word) > degree:
-            continue
-        value = symexpr.evaluate(phi, point, memo)
-        if abs(value) > EPS:
-            per_output[out_idx][word] = value
-    alphabet = realization.n_inputs + 1
-    # trusted build: the words come from the table, evaluate() rejects
-    # non-finite values and the EPS filter above drops the zeros
-    return VectorSeries(
-        [Series._raw(alphabet, degree, terms) for terms in per_output]
-    )
-
-
-def growth_estimate(series):
-    """Crude (K, M) with |coeff(word)| <= K * M^|word| * |word|! (diagnostic only)."""
-    if isinstance(series, Series):
-        series = VectorSeries([series])
-    K = max(abs(c.constant_term()) for c in series)
-    if K == 0.0:
-        K = max(series.max_abs_coeff(), 1.0)
-    M = 0.0
-    for comp in series:
-        for w, c in comp.terms_dict().items():
-            k = len(w)
-            if k == 0:
-                continue
-            M = max(M, (abs(c) / (K * math.factorial(k))) ** (1.0 / k))
-    return K, max(M, 1.0)
+    plan = table_plan(realization.fields, realization.outputs, degree)
+    # trusted build: the words come from the table, the tape rejects
+    # non-finite values and TableSeries drops the zeros
+    return TableSeries(plan, plan.tape(realization.z0 + realization.params))
 
 
 # ---------------------------------------------------------------------------

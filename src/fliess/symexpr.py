@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from fliess.errors import EvaluationError, MapFormatError
 
@@ -328,9 +329,39 @@ def differentiate(e, i):
 # evaluation
 
 
+def topological(exprs):
+    """Every node under exprs once, each after its arguments.
+
+    The order is the post-order of a depth-first walk that visits
+    arguments in order, computed without recursion.  The three
+    emitters (compile_expr, JetTape and SlotTape) consume this walk.
+    """
+    order = []
+    seen = set()
+    for root in exprs:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(root.args))]
+        while stack:
+            node, args = stack[-1]
+            for a in args:
+                if a not in seen:
+                    seen.add(a)
+                    stack.append((a, iter(a.args)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
+
+
 def evaluate(e, z, memo=None):
     """Evaluate at the state vector z (indexable).  Raises EvaluationError
-    on non-finite results (poles of tan, zero denominators, overflow)."""
+    on non-finite results (poles of tan, zero denominators, overflow).
+
+    The literal recursive reference: the library evaluates through
+    SlotTape, and the tests check the tape against this function."""
     if memo is None:
         memo = {}
     hit = memo.get(e._id)
@@ -463,7 +494,11 @@ class JetTape:
         self._code = []  # (rule, out slot, argument slots, parameter)
         self._slots = {}
         self._trig = {}  # argument slot -> (sin slot, cos slot)
-        self.slots = [self._emit(_coerce(e)) for e in exprs]
+        exprs = [_coerce(e) for e in exprs]
+        for e in topological(exprs):
+            if e.kind != CONST:
+                self._slots[e] = self._emit(e)
+        self.slots = [self._arg(e) for e in exprs]
 
     def _slot(self):
         self.jets.append([])
@@ -474,54 +509,57 @@ class JetTape:
         self._code.append((rule, out, args, param))
         return out
 
+    def _arg(self, e):
+        """The slot of an emitted node; a constant gets one at its first use
+        outside a product, where it folds into the factor instead."""
+        slot = self._slots.get(e)
+        if slot is None:
+            slot = self._slots[e] = self._new(_jet_const, (), e.value)
+        return slot
+
     def _emit(self, e):
-        slot = self._slots.get(e._id)
-        if slot is not None:
-            return slot
+        """The slot of a non-constant node whose arguments have theirs."""
         k = e.kind
         if k == VAR and e.value >= self.n_vars:
             p = e.value - self.n_vars
             if p >= len(self.params):
                 raise ValueError(f"variable z{e.value + 1} outside the jet's state and parameters")
-            slot = self._new(_jet_const, (), self.params[p])
-        elif k == VAR:
-            slot = e.value
-        elif k == CONST:
-            slot = self._new(_jet_const, (), e.value)
-        elif k == ADD:
-            slot = self._new(_jet_add, tuple(self._emit(a) for a in e.args))
-        elif k == MUL:
+            return self._new(_jet_const, (), self.params[p])
+        if k == VAR:
+            return e.value
+        if k == ADD:
+            return self._new(_jet_add, tuple(self._arg(a) for a in e.args))
+        if k == MUL:
             factor = 1.0
             slot = None
             for a in e.args:
                 if a.kind == CONST:
                     factor *= a.value
                     continue
-                a_slot = self._emit(a)
+                a_slot = self._arg(a)
                 slot = a_slot if slot is None else self._new(_jet_mul, (slot, a_slot))
             if factor != 1.0:
                 slot = self._new(_jet_scale, (slot,), factor)
-        elif k == DIV:
-            slot = self._new(_jet_div, (self._emit(e.args[0]), self._emit(e.args[1])))
-        elif k == POW and e.value > 0:
-            base = self._emit(e.args[0])
+            return slot
+        if k == DIV:
+            return self._new(_jet_div, (self._arg(e.args[0]), self._arg(e.args[1])))
+        if k == POW and e.value > 0:
+            base = self._arg(e.args[0])
             slot = base
             for _ in range(e.value - 1):
                 slot = self._new(_jet_mul, (slot, base))
-        elif k == POW:
-            slot = self._new(_jet_pow, (self._emit(e.args[0]),), e.value)
-        elif k in (SIN, COS):
-            arg = self._emit(e.args[0])
+            return slot
+        if k == POW:
+            return self._new(_jet_pow, (self._arg(e.args[0]),), e.value)
+        if k in (SIN, COS):
+            arg = self._arg(e.args[0])
             pair = self._trig.get(arg)
             if pair is None:
                 cos_slot = self._slot()
                 pair = (self._new(_jet_sincos, (arg,), cos_slot), cos_slot)
                 self._trig[arg] = pair
-            slot = pair[0] if k == SIN else pair[1]
-        else:
-            slot = self._new(_jet_tan, (self._emit(e.args[0]),), self._slot())
-        self._slots[e._id] = slot
-        return slot
+            return pair[0] if k == SIN else pair[1]
+        return self._new(_jet_tan, (self._arg(e.args[0]),), self._slot())
 
     def step(self, k):
         """Append coefficient k to every node's jet.
@@ -540,47 +578,129 @@ class JetTape:
             raise EvaluationError(f"non-finite value in a Taylor jet at order {k}")
 
 
+def _rhs(e, args):
+    """Python source of one node's value from its arguments' source."""
+    k = e.kind
+    if k == ADD:
+        return " + ".join(args)
+    if k == MUL:
+        return " * ".join(args)
+    if k == DIV:
+        return f"{args[0]} / {args[1]}"
+    if k == POW:
+        return f"{args[0]} ** {e.value}"
+    return f"_math.{k}({args[0]})"
+
+
 def compile_expr(exprs, n_vars):
     """Compile a list of expressions into one function z -> list of floats.
 
     Shared subexpressions are emitted once.  Division by zero raises
-    ZeroDivisionError from the generated code (callers wanting the
-    library's EvaluationError should pre-validate with evaluate()).
+    ZeroDivisionError from the generated code, and non-finite values
+    pass through; callers wanting the library's EvaluationError use
+    SlotTape, which maps both.
     """
+    exprs = [_coerce(e) for e in exprs]
     lines = []
     names = {}
-
-    def emit(e):
-        name = names.get(e._id)
-        if name is not None:
-            return name
-        k = e.kind
-        if k == CONST:
-            name = repr(e.value)
-        elif k == VAR:
-            name = f"z[{e.value}]"
+    for e in topological(exprs):
+        if e.kind == CONST:
+            names[e] = repr(e.value)
+        elif e.kind == VAR:
+            names[e] = f"z[{e.value}]"
         else:
-            child = [emit(a) for a in e.args]
-            if k == ADD:
-                rhs = " + ".join(child)
-            elif k == MUL:
-                rhs = " * ".join(child)
-            elif k == DIV:
-                rhs = f"{child[0]} / {child[1]}"
-            elif k == POW:
-                rhs = f"{child[0]} ** {e.value}"
-            else:
-                rhs = f"_math.{k}({child[0]})"
-            name = f"t{len(lines)}"
-            lines.append(f"    {name} = {rhs}")
-        names[e._id] = name
-        return name
-
-    results = [emit(_coerce(e)) for e in exprs]
+            names[e] = f"t{len(lines)}"
+            lines.append(f"    {names[e]} = {_rhs(e, [names[a] for a in e.args])}")
+    results = [names[e] for e in exprs]
     src = "def _field(z):\n" + "\n".join(lines) + f"\n    return [{', '.join(results)}]\n"
     scope = {"_math": math}
     exec(compile(src, "<fliess-symexpr>", "exec"), scope)
     return scope["_field"]
+
+
+class SlotTape:
+    """Straight-line evaluation of expressions over one shared slot list.
+
+    Every node under ``exprs`` owns one slot: the first n_vars slots
+    take the point as floats (n_vars is one past the largest variable
+    index the expressions read), constants sit in a template, and each
+    other node is one assignment ``s[k] = s[a] + s[b] + ...`` in
+    topological order.
+    Sums and products keep their argument order, so each value is
+    bit-identical to evaluate()'s.  The assignments are compiled in
+    chunks of at most CHUNK statements, one small code object each, so
+    neither the source nor the compiler's working set is ever built for
+    the whole table at once.  Calling the tape at a point returns the
+    values of ``exprs`` in order, or raises EvaluationError where
+    evaluate() raises: on a zero denominator, a zero base with a
+    negative exponent, an overflow, or any non-finite slot.
+    """
+
+    # statements per compiled chunk: the compiler's working memory that
+    # the process keeps grows with it (degree-8 car table, 3,983 nodes:
+    # +0.36 MB resident at 50, +1.8 MB at 200), its speed does not
+    CHUNK = 50
+
+    def __init__(self, exprs):
+        exprs = [_coerce(e) for e in exprs]
+        order = topological(exprs)
+        self.n_vars = 1 + max((e.value for e in order if e.kind == VAR), default=-1)
+        slots = {}
+        template = [0.0] * self.n_vars
+        self._chunks = []
+        lines = []
+        for e in order:
+            if e.kind == VAR:
+                slots[e] = e.value
+                continue
+            slots[e] = len(template)
+            template.append(e.value if e.kind == CONST else 0.0)
+            if e.kind == CONST:
+                continue
+            lines.append(f"    s[{slots[e]}] = {_rhs(e, [f's[{slots[a]}]' for a in e.args])}")
+            if len(lines) == self.CHUNK:
+                self._chunks.append(self._compile(lines))
+                lines = []
+        if lines:
+            self._chunks.append(self._compile(lines))
+        self._template = template
+        self.n_slots = len(template)
+        self._read = reader([slots[e] for e in exprs])
+
+    @staticmethod
+    def _compile(lines):
+        scope = {"_math": math}
+        exec(compile("def _chunk(s):\n" + "\n".join(lines) + "\n", "<fliess-tape>", "exec"), scope)
+        return scope["_chunk"]
+
+    def __call__(self, point):
+        """Values of the expressions at point, which holds at least n_vars entries."""
+        n = self.n_vars
+        if len(point) < n:
+            raise ValueError(f"the tape reads {n} variables, the point holds {len(point)}")
+        s = self._template.copy()
+        s[:n] = map(float, point[:n])
+        try:
+            for chunk in self._chunks:
+                chunk(s)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            # a zero denominator, 0 ** -n, a power's overflow, or a
+            # non-finite argument of sin, cos or tan
+            raise EvaluationError(
+                "zero denominator, zero base with negative exponent, or overflow in a table entry"
+            ) from None
+        # one sum decides the common case; it overflows only if the
+        # slots are large, and then the slot-by-slot check decides
+        if not math.isfinite(sum(s)) and not all(map(math.isfinite, s)):
+            raise EvaluationError("non-finite value in a table entry")
+        return self._read(s)
+
+
+def reader(positions):
+    """A function s -> tuple(s[p] for p in positions), for any number of positions."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda s: tuple(s[p] for p in positions)
 
 
 # ---------------------------------------------------------------------------

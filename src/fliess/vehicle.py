@@ -157,20 +157,3 @@ def solve_first_order_match(target, z3, branch="auto", params=CarParams()):
     z4, z5 = min(admissible, key=lambda pair: abs(pair[0]))
     return z4, z5
 
-
-def growth_constants(init, params=CarParams(), model="augmented"):
-    """Convergence-bound constants (K, M) for the car series at init.
-
-    Magnitudes enter as absolute values so the constants stay positive
-    for negative positions or reversed speed.
-    """
-    sec = 1.0 / math.cos(abs(params.k) * init.z4)
-    if model == "original":
-        k_c = max(abs(init.z1), abs(init.z2))
-        m_c = 2.4 * sec
-    elif model == "augmented":
-        k_c = max(abs(init.z1), abs(init.z2), abs(init.z5))
-        m_c = 2.4 * abs(init.z5) * sec
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return k_c, m_c

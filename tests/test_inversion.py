@@ -31,11 +31,13 @@ from fliess.inversion import (
     relative_degree,
     tracking_error_series,
 )
+from fliess.pipeline import PipelineConfig, run_pipeline
+from fliess.planner import bundled_map
 from fliess.realization import generating_series
-from fliess.series import constant_term_inverse, drift_word, left_shift
+from fliess.series import EPS, constant_term_inverse, drift_word, left_shift
 from fliess.vehicle import augmented_realization
 
-from test_realization import double_integrator
+from test_realization import double_integrator, literal_series
 
 
 def di_series(z10=0.3, z20=-1.2, degree=6):
@@ -288,3 +290,43 @@ class TestDriftOnlyInversion:
         c_y = TaylorOutput([[0.0, 1e300, 0.0, 0.0]])
         with pytest.raises(NonFiniteError):
             left_invert(c, c_y, 1)
+
+
+@pytest.fixture(scope="module")
+def north_star():
+    return run_pipeline(bundled_map(), PipelineConfig())
+
+
+class TestPlanPath:
+    """The pipeline's plan path against the literal path on north-star sections.
+
+    In a fresh process the table keeps 2,996, 1,830, 0 and 919 words of
+    sections 0, 1, 4 and 49 that evaluate to |v| <= EPS: the live
+    columns of the inversion differ from section to section.
+    """
+
+    @pytest.mark.parametrize("index, has_zeros", [(0, True), (1, True), (4, False), (49, True)])
+    def test_bitwise_equal_to_the_literal_path(self, north_star, index, has_zeros):
+        cfg = north_star.config
+        init = north_star.sections[index].init
+        r = augmented_realization(init, cfg.params)
+        c = generating_series(r, cfg.series_degree)
+        want = literal_series(r, cfg.series_degree)
+        assert any(abs(v) <= EPS for v in c.values) == has_zeros
+        assert [list(a.terms_dict().items()) for a in c] == [
+            list(b.terms_dict().items()) for b in want
+        ]
+        c_y = north_star.spline.sections[index].taylor_output(constants=(init.z1, init.z2))
+        got = left_invert(c, c_y, cfg.inversion_degree)
+        literal = left_invert(want, c_y, cfg.inversion_degree)  # a plan read off the series
+        assert [list(a) for a in got.coeffs] == [list(b) for b in literal.coeffs]
+        assert list(got.coeffs[0]) == north_star.sections[index].steering_rate_coeffs
+
+    def test_relative_degree_reads_the_live_values(self):
+        # the table keeps the forced word x1; its value decides r
+        plan = fliess.realization.TablePlan([[(), (1,), (0, 1)]], 2, 3)
+        zero = fliess.realization.TableSeries(plan, (0.5, 1e-16, 2.0))
+        assert zero[0].terms_dict() == {(): 0.5, (0, 1): 2.0}
+        assert relative_degree(zero).orders == [2]
+        live = fliess.realization.TableSeries(plan, (0.5, 1e-3, 2.0))
+        assert relative_degree(live).orders == [1]

@@ -108,19 +108,32 @@ class TestRunSection:
 
 class TestBoundedCaches:
     def test_no_cache_grows_with_distinct_gains(self):
-        # perfbench's per-layer gauges read these four caches by name
+        # perfbench's per-layer gauges read these four caches by name;
+        # every gain runs at series degrees 6 and 8 in one process
         caches = (
             fliess.realization._TABLE_CACHE,
             fliess.realization._COMPILED,
             se._TABLE,
             se._DIFF_CACHE,
         )
-        section, cfg = curved_section(), fast_cfg()
+        section = curved_section()
+        cfgs = (fast_cfg(), fast_cfg(series_degree=8, inversion_degree=6))
+        car = augmented_realization(section.init)
         sizes = []
         for i in range(100):
             params = fliess.CarParams(length=0.7 + 0.008 * i, k=-0.95 + 0.005 * i)
-            run_section(section, section.init, dataclasses.replace(cfg, params=params))
-            sizes.append(tuple(len(cache) for cache in caches))
+            for cfg in cfgs:
+                run_section(section, section.init, dataclasses.replace(cfg, params=params))
+            plans = {
+                key[2]: plan
+                for key, plan in fliess.realization._TABLE_CACHE.items()
+                if key[:2] == (car.fields, car.outputs)
+            }
+            # one plan per (fields, outputs, degree) for every gain, each
+            # with bounded derived maps (other tests may add degrees)
+            assert {6, 8} <= set(plans)
+            derived = tuple(len(plans[d]._derived) for d in (6, 8))
+            sizes.append(tuple(len(cache) for cache in caches) + (len(plans),) + derived)
         assert all(size > 0 for size in sizes[0])
         assert set(sizes) == {sizes[0]}
 

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fliess import Series, symexpr as se
+from fliess import Series, VectorSeries, symexpr as se
 from fliess.errors import EvaluationError, MapFormatError, SimulationError
+from fliess.series import EPS
 from fliess.inversion import TaylorOutput, left_invert, tracking_error_series
 from fliess.realization import (
     _TABLE_CACHE,
     ControlSignal,
+    _coefficient_table,
     Realization,
     Trajectory,
     fliess_eval,
     generating_series,
-    growth_estimate,
     lie_derivative,
     rk4_simulate,
     taylor_outputs,
@@ -61,6 +62,20 @@ class TestLieDerivative:
         assert lie_derivative([se.ZERO, se.ZERO], h).is_const(0.0)
 
 
+def literal_series(realization, degree):
+    """The generating series the literal way: evaluate() on every table
+    entry, the EPS filter, and the validating Series constructor."""
+    point = realization.z0 + realization.params
+    memo = {}
+    terms = [{} for _ in realization.outputs]
+    table = _coefficient_table(realization.fields, realization.outputs, degree)
+    for (word, i), phi in table.items():
+        value = se.evaluate(phi, point, memo)
+        if abs(value) > EPS:
+            terms[i][word] = value
+    return VectorSeries([Series(realization.n_inputs + 1, degree, t) for t in terms])
+
+
 class TestGeneratingSeries:
     def test_double_integrator_is_exact_polynomial(self):
         c = generating_series(double_integrator(0.3, -1.2), 6)
@@ -78,6 +93,29 @@ class TestGeneratingSeries:
         r = Realization(fields=[[se.ONE / se.var(0)]], outputs=[se.var(0)], z0=(0.0,))
         with pytest.raises(EvaluationError):
             generating_series(r, 3)
+
+    def test_tape_raises_where_evaluate_raises(self):
+        # dz1 = tan(z1) from the float nearest pi/2: from degree 6 on, a
+        # table entry overflows, under evaluate() and under the tape alike
+        r = Realization(fields=[[se.tan(se.var(0))]], outputs=[se.var(0)], z0=(math.pi / 2,))
+        outcomes = []
+        for degree in range(1, 9):
+            for build in (literal_series, generating_series):
+                try:
+                    build(r, degree)
+                    outcomes.append((degree, "value"))
+                except EvaluationError:
+                    outcomes.append((degree, "error"))
+        assert outcomes == [(d, "value") for d in range(1, 6) for _ in "ab"] + [
+            (d, "error") for d in range(6, 9) for _ in "ab"
+        ]
+
+    def test_plan_values_equal_the_literal_series(self):
+        r = augmented_realization((0.4, -0.3, 0.2, 0.5, 1.7), CarParams(1.3, -0.4))
+        got, want = generating_series(r, 8), literal_series(r, 8)
+        assert [list(c.terms_dict().items()) for c in got] == [
+            list(c.terms_dict().items()) for c in want
+        ]
 
     def test_car_series_equals_validated_construction(self):
         c = generating_series(augmented_realization((0.4, -0.3, 0.2, 0.5, 1.7)), 8)
@@ -142,22 +180,6 @@ class TestGeneratingSeries:
         assert t2[(0, 0)] == pytest.approx(z50**2 * co * big_t, rel=1e-12)
         # words (1, 0) and (2, 0) start from states the inputs cannot move
         assert (1, 0) not in t1 and (2, 0) not in t1
-
-
-class TestGrowthEstimate:
-    def test_bound_holds_on_own_series(self):
-        init = (0.4, -0.3, 0.2, 0.5, 1.7)
-        c = generating_series(augmented_realization(init), 5)
-        k_c, m_c = growth_estimate(c)
-        for comp in c:
-            for w, v in comp.terms_dict().items():
-                bound = k_c * m_c ** len(w) * math.factorial(len(w))
-                assert abs(v) <= bound * (1 + 1e-12)
-
-    def test_scalar_input_accepted(self, rng):
-        s = Series(2, 3, {(): 2.0, (0, 1): -5.0})
-        k_c, m_c = growth_estimate(s)
-        assert k_c == 2.0 and m_c >= 1.0
 
 
 class TestControlSignal:
@@ -439,6 +461,24 @@ class TestRealizationObject:
     def test_field_shape_validation(self):
         with pytest.raises(ValueError):
             Realization(fields=[[se.ZERO], [se.ONE, se.ZERO]], outputs=[se.var(0)], z0=(0.0,))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda r: generating_series(r, 3),
+            lambda r: rk4_simulate(r, None, 1.0, 10),
+            lambda r: taylor_outputs(r, [], 3),
+        ],
+        ids=["generating_series", "rk4_simulate", "taylor_outputs"],
+    )
+    def test_variable_range_checked_at_construction(self, entry):
+        # one state and one parameter: z2 is the parameter, z3 is nothing,
+        # so the realization that reads z3 never reaches the entry point
+        with pytest.raises(ValueError, match="reads z3"):
+            entry(Realization(fields=[[se.var(2)]], outputs=[se.var(0)], z0=(1.0,), params=(2.0,)))
+        with pytest.raises(ValueError, match="reads z3"):
+            entry(Realization(fields=[[se.var(1)]], outputs=[se.var(2)], z0=(1.0,), params=(2.0,)))
+        entry(Realization(fields=[[se.var(1)]], outputs=[se.var(0)], z0=(1.0,), params=(2.0,)))
 
     def test_with_initial_state(self):
         r = double_integrator(0.0, 0.0)

@@ -129,6 +129,60 @@ class TestCompile:
             f([0.0])
 
 
+class TestTopological:
+    def test_arguments_precede_their_nodes_once_each(self):
+        z = [se.var(i) for i in range(3)]
+        exprs = [gnarly(*z), z[0] * z[1] - 1.0, gnarly(*z)]
+        order = se.topological(exprs)
+        assert len(order) == len(set(order))
+        seen = set()
+        for node in order:
+            assert all(a in seen for a in node.args)
+            seen.add(node)
+        assert all(e in seen for e in exprs)
+
+    def test_deep_expression_needs_no_recursion(self):
+        e = se.var(0)
+        for k in range(3000):
+            e = se.sin(e) + float(k)
+        assert len(se.topological([e])) > 6000
+
+
+class TestSlotTape:
+    def test_bitwise_equal_to_evaluate(self, rng, monkeypatch):
+        # two statements per chunk, so values cross chunk boundaries
+        monkeypatch.setattr(se.SlotTape, "CHUNK", 2)
+        z = [se.var(i) for i in range(3)]
+        exprs = [gnarly(*z), z[0] * z[1] - 1.0, se.const(2.5), z[2], gnarly(*z) * z[0]]
+        tape = se.SlotTape(exprs)
+        assert len(tape._chunks) > 1
+        for pt in sample_points(rng, 3):
+            assert list(tape(pt)) == [se.evaluate(e, pt) for e in exprs]
+
+    def test_reads_only_the_variables_it_needs(self):
+        tape = se.SlotTape([se.var(1) * 2.0])
+        assert tape.n_vars == 2
+        assert tape((5.0, 3.0, 99.0)) == (6.0,)
+        with pytest.raises(ValueError):
+            tape((5.0,))
+
+    @pytest.mark.parametrize(
+        "expr, point",
+        [
+            (se.const(1.0) / se.var(0), [0.0]),  # zero denominator
+            (se.power(se.var(0), -1), [0.0]),  # 0 ** -1
+            (se.var(0) * se.var(1), [1e308, 1e308]),  # inf from a product
+            (se.power(se.var(0), 2), [1e308]),  # OverflowError from a power
+            (se.sin(se.var(0) * se.var(0)), [1e308]),  # non-finite argument of sin
+        ],
+    )
+    def test_raises_where_evaluate_raises(self, expr, point):
+        with pytest.raises(EvaluationError):
+            se.evaluate(expr, point)
+        with pytest.raises(EvaluationError):
+            se.SlotTape([expr])(point)
+
+
 def jets_along(exprs, state, degree):
     """Coefficients 0..degree of exprs along fixed polynomial state jets."""
     tape = se.JetTape(exprs, len(state))

@@ -10,7 +10,6 @@ from fliess.vehicle import (
     SectionInit,
     augmented_realization,
     car_realization,
-    growth_constants,
     solve_first_order_match,
 )
 
@@ -87,30 +86,6 @@ class TestFirstOrderMatch:
     def test_unknown_branch(self):
         with pytest.raises(ValueError):
             solve_first_order_match((1.0, 0.0), 0.0, branch="sideways")
-
-
-class TestGrowthConstants:
-    def test_augmented_values(self):
-        init = SectionInit(-3.0, 2.0, 0.1, 0.4, -1.5)
-        k_c, m_c = growth_constants(init)
-        sec = 1.0 / math.cos(0.7 * 0.4)
-        assert k_c == pytest.approx(3.0)
-        assert m_c == pytest.approx(2.4 * 1.5 * sec)
-
-    def test_original_model(self):
-        init = SectionInit(1.0, -4.0, 0.0, 0.0, 0.0)
-        k_c, m_c = growth_constants(init, model="original")
-        assert k_c == pytest.approx(4.0)
-        assert m_c == pytest.approx(2.4)
-
-    def test_positive_for_reversed_speed(self):
-        init = SectionInit(-1.0, -1.0, 0.0, -0.5, -2.0)
-        k_c, m_c = growth_constants(init)
-        assert k_c > 0 and m_c > 0
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            growth_constants(SectionInit(0, 0, 0, 0, 1.0), model="other")
 
 
 class TestDynamicExtension:
