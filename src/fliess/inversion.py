@@ -238,7 +238,9 @@ class _ShiftMaps:
     ``cols[e]``).  The entries from ``n_forced`` on are the drift words
     of w, from which the reference coefficients (i, k) listed in
     ``drift`` are subtracted; where the plan lacks such a word, the
-    entry reads the appended zero.
+    entry reads the appended zero.  ``unit`` is the drift-only series 1,
+    the empty word's image under o u, and ``drift_letter`` the matrix of
+    v -> x0 v, the drift letter's step in every sweep.
     """
 
     def __init__(self, plan, degree, orders):
@@ -286,6 +288,9 @@ class _ShiftMaps:
         )
         lag = np.subtract.outer(np.arange(degree), np.arange(degree))
         self.lag = np.where(lag >= 0, lag, degree)  # index degree reads a padded zero
+        self.unit = np.zeros(degree + 1)
+        self.unit[0] = 1.0
+        self.drift_letter = _prefixed_shuffle(self, self.unit)
 
 
 class _DriftPlan:
@@ -298,7 +303,8 @@ class _DriftPlan:
     letter, the numbers of the words and of their tails, so each word's
     image is its tail's image times the head letter's matrix.  Both are
     gathered from the shift maps on this section's live words: the
-    column set decides the rounding of ``weights @ images``.
+    column set decides the rounding of ``weights @ images``.  ``maps``
+    keeps the shift maps for the degree and the drift letter's matrix.
     """
 
     def __init__(self, maps, values, refs, a0_inv):
@@ -321,30 +327,26 @@ class _DriftPlan:
             on = live[words]
             if on.any():
                 self.steps.append((head, number[words[on]], number[tails[on]]))
-        self.m = maps.m
-        self.degree = maps.degree
+        self.maps = maps
         self.a0_inv = a0_inv
-        self.pascal = maps.pascal
-        self.lag = maps.lag
 
 
-def _prefixed_shuffle(plan, a):
+def _prefixed_shuffle(maps, a):
     """Matrix of v -> x0 (a sh v) acting on coefficient rows (v @ matrix)."""
-    n = plan.degree
-    toeplitz = np.append(a[:n], 0.0)[plan.lag]  # toeplitz[j, k] = a[j - k]
+    n = maps.degree
+    toeplitz = np.append(a[:n], 0.0)[maps.lag]  # toeplitz[j, k] = a[j - k]
     out = np.zeros((n + 1, n + 1))
-    out[:n, 1:] = (plan.pascal[:n, :n] * toeplitz).T
+    out[:n, 1:] = (maps.pascal[:n, :n] * toeplitz).T
     return out
 
 
 def _drift_sweep(plan, u):
     """One fixed-point sweep u -> -(C o u)^sh-1 sh (w o u)."""
-    m, n = plan.m, plan.degree
-    unit = np.zeros(n + 1)
-    unit[0] = 1.0
-    letters = [_prefixed_shuffle(plan, unit)] + [_prefixed_shuffle(plan, u_j) for u_j in u]
+    maps = plan.maps
+    m, n = maps.m, maps.degree
+    letters = [maps.drift_letter] + [_prefixed_shuffle(maps, u_j) for u_j in u]
     images = np.zeros((plan.weights.shape[1], n + 1))
-    images[0] = unit  # the empty word sorts first
+    images[0] = maps.unit  # the empty word sorts first
     for head, rows, tails in plan.steps:
         images[rows] = images[tails] @ letters[head]
     composed = plan.weights @ images
@@ -355,7 +357,7 @@ def _drift_sweep(plan, u):
     for k in range(n + 1):
         acc = w_u[:, k].copy()
         for j in range(1, k + 1):
-            acc -= plan.pascal[k, j] * (c_u[:, :, j] @ z[:, k - j])
+            acc -= maps.pascal[k, j] * (c_u[:, :, j] @ z[:, k - j])
         z[:, k] = plan.a0_inv @ acc
     return -z
 

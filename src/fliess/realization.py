@@ -25,11 +25,15 @@ through index maps it derives once per plan.
 
 The functional evaluator sums coefficient-weighted iterated integrals
 on a shared uniform grid (trapezoid rule, 2000 points per unit time by
-default); the ground-truth simulator is fixed-step classical
-Runge-Kutta, which evaluates the input once per step grid (step
-starts, midpoints and ends) and steps on plain floats.  Under
-polynomial inputs, Taylor-mode integration of the fields gives the
-output's Taylor coefficients at the initial state without the series.
+default).  Both integrators read one right-hand side, the symbolic
+g0 + sum_i u_i g_i per state with the inputs as the variables after
+the parameters.  The ground-truth simulator is fixed-step classical
+Runge-Kutta: it evaluates the input once per step grid (step starts,
+midpoints and ends) and steps on plain floats through a cached
+SlotTape of that right-hand side.  Under polynomial inputs,
+Taylor-mode integration of the same right-hand side (a JetTape) gives
+the output's Taylor coefficients at the initial state without the
+series.
 """
 
 from __future__ import annotations
@@ -450,22 +454,51 @@ class Trajectory:
             fh.writelines(row.format(*values.tolist()) for values in data)
 
 
+def _right_hand_side(realization):
+    """g0 + sum_i u_i g_i per state, the inputs read as the variables after the parameters.
+
+    The constructors drop the zero input components and the unit
+    factors, so both integrators run on the terms that are there.
+    """
+    first_input = realization.n_states + len(realization.params)
+    drift, *inputs = realization.fields
+    return tuple(
+        symexpr.add(
+            g0, *[symexpr.mul(symexpr.var(first_input + i), g[s]) for i, g in enumerate(inputs)]
+        )
+        for s, g0 in enumerate(drift)
+    )
+
+
+# tapes keyed by the expression tuple itself: interned nodes hash by
+# identity, and the key keeps them alive
+_COMPILED = {}
+
+
+def _tape(exprs):
+    """The cached SlotTape of a tuple of expressions."""
+    tape = _COMPILED.get(exprs)
+    if tape is None:
+        tape = _COMPILED[exprs] = symexpr.SlotTape(exprs)
+    return tape
+
+
 def rk4_simulate(realization, u, horizon, steps):
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
     The input is evaluated once per call, vectorised on each stage-time
-    grid (t_k, t_k + h/2, t_k + h); the steps then run on Python floats
-    through the compiled fields, which read the parameters after the
-    state.  Raises SimulationError with the first offending time if the
-    state leaves the finite range.
+    grid (t_k, t_k + h/2, t_k + h); each stage then runs the tape of
+    the right-hand side on Python floats at the state, the parameters
+    and the stage's input values.  Raises SimulationError with the
+    first offending time if a stage or the state leaves the finite
+    range.
     """
     if steps < 1:
         raise ValueError("RK4 needs at least one step")
-    n = realization.n_states
     m = realization.n_inputs
     params = list(realization.params)
-    field_fn = _compiled(tuple(e for col in realization.fields for e in col), n)
-    out_fn = _compiled(realization.outputs, n)
+    rhs = _tape(_right_hand_side(realization))
+    out_tape = _tape(realization.outputs)
 
     h = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
@@ -475,15 +508,7 @@ def rk4_simulate(realization, u, horizon, steps):
             u.eval(grid).T.tolist() for grid in (starts, starts + 0.5 * h, starts + h)
         )
     else:
-        u_start = u_mid = u_end = [()] * steps
-
-    def rhs(z, uv):
-        vals = field_fn(z + params)
-        out = vals[:n]
-        for i in range(m):
-            ui = uv[i]
-            out = [a + ui * b for a, b in zip(out, vals[(i + 1) * n : (i + 2) * n])]
-        return out
+        u_start = u_mid = u_end = [[]] * steps
 
     # operation order z + (0.5 * h) * k1 and z + (h / 6) * (k1 + 2 k2 +
     # 2 k3 + k4), element by element: the states are bit-identical to
@@ -494,12 +519,11 @@ def rk4_simulate(realization, u, horizon, steps):
     states = [z]
     for k in range(steps):
         try:
-            k1 = rhs(z, u_start[k])
-            k2 = rhs([a + half * b for a, b in zip(z, k1)], u_mid[k])
-            k3 = rhs([a + half * b for a, b in zip(z, k2)], u_mid[k])
-            k4 = rhs([a + h * b for a, b in zip(z, k3)], u_end[k])
-        except (ZeroDivisionError, OverflowError):
-            # a float overflow or zero division is a non-finite state
+            k1 = rhs(z + params + u_start[k])
+            k2 = rhs([a + half * b for a, b in zip(z, k1)] + params + u_mid[k])
+            k3 = rhs([a + half * b for a, b in zip(z, k2)] + params + u_mid[k])
+            k4 = rhs([a + h * b for a, b in zip(z, k3)] + params + u_end[k])
+        except EvaluationError:
             raise SimulationError(times[k + 1]) from None
         z = [
             a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
@@ -508,9 +532,8 @@ def rk4_simulate(realization, u, horizon, steps):
         if not all(map(math.isfinite, z)):
             raise SimulationError(times[k + 1])
         states.append(z)
-    states = np.array(states)
-    outputs = np.array([out_fn([*s, *params]) for s in states])
-    return Trajectory(times=times, states=states, outputs=outputs)
+    outputs = np.array([out_tape(s + params) for s in states])
+    return Trajectory(times=times, states=np.array(states), outputs=outputs)
 
 
 def taylor_outputs(realization, u, degree):
@@ -518,61 +541,36 @@ def taylor_outputs(realization, u, degree):
 
     u[i][k] are series-convention input coefficients, u_i(t) = sum_k
     u[i][k] t^k / k!.  Taylor-mode integration of the realization: with
-    the jets of z known through t^k, the jets of the fields give
-    coefficient k of dz/dt = g0(z) + sum_i g_i(z) u_i(t), so
-    z_{k+1} = [dz/dt]_k / (k+1).  The truncated generating series of
-    the same degree gives these coefficients exactly, so both agree up
-    to rounding.  The parameters' jets are constant.  Returns an
-    (ell, degree+1) array in series convention (row j holds
-    y_j^(k)(0)).  Raises EvaluationError when a jet meets a zero
-    denominator, a zero base with a negative exponent, or a non-finite
-    value.
+    the jets of z known through t^k, the jets of the right-hand side
+    give coefficient k of dz/dt = g0(z) + sum_i g_i(z) u_i(t), so
+    z_{k+1} = [dz/dt]_k / (k+1).  The parameters' jets are constant and
+    the inputs' jets are their normalised coefficients, both set whole
+    before the first step.  The truncated generating series of the
+    same degree gives these coefficients exactly, so both agree up to
+    rounding.  Returns an (ell, degree+1) array in series convention
+    (row j holds y_j^(k)(0)).  Raises EvaluationError when a jet meets
+    a zero denominator, a zero base with a negative exponent, or a
+    non-finite value.
     """
     n, m = realization.n_states, realization.n_inputs
     if len(u) != m:
         raise ValueError(f"need {m} input expansions, got {len(u)}")
-    flat = [e for col in realization.fields for e in col]
-    tape = symexpr.JetTape(flat + list(realization.outputs), n, realization.params)
-    jets = tape.jets
-    # per state: the drift's slot and the (input, slot) pairs of its
-    # nonzero input-field components
-    rows = [
-        (
-            tape.slots[s],
-            [(i, tape.slots[(i + 1) * n + s]) for i in range(m) if not flat[(i + 1) * n + s].is_const(0.0)],
-        )
-        for s in range(n)
-    ]
-    inputs = [[c / math.factorial(k) for k, c in enumerate(ui)] for ui in u]
+    known = [[p] + [0.0] * degree for p in realization.params]
+    for ui in u:
+        coeffs = [float(c) / math.factorial(k) for k, c in enumerate(ui[: degree + 1])]
+        known.append(coeffs + [0.0] * (degree + 1 - len(coeffs)))
+    tape = symexpr.JetTape(_right_hand_side(realization) + realization.outputs, n + len(known))
+    jets, slots = tape.jets, tape.slots
+    jets[n : n + len(known)] = known
     for s, v in enumerate(realization.z0):
         jets[s].append(v)
     for k in range(degree + 1):
         tape.step(k)
         if k == degree:
             break
-        for s, (drift, forced) in enumerate(rows):
-            acc = jets[drift][k]
-            for i, slot in forced:
-                ui, g = inputs[i], jets[slot]
-                acc += sum(ui[j] * g[k - j] for j in range(min(k + 1, len(ui))))
-            jets[s].append(acc / (k + 1))
-    out = [
-        [c * math.factorial(k) for k, c in enumerate(jets[slot])]
-        for slot in tape.slots[len(flat):]
-    ]
+        for s in range(n):
+            jets[s].append(jets[slots[s]][k] / (k + 1))
+    out = [[c * math.factorial(k) for k, c in enumerate(jets[slot])] for slot in slots[n:]]
     if not all(math.isfinite(c) for row in out for c in row):
         raise EvaluationError("non-finite output Taylor coefficient")
     return np.array(out)
-
-
-# compiled functions keyed by the expression tuple itself: interned
-# nodes hash by identity, and the key keeps them alive
-_COMPILED = {}
-
-
-def _compiled(exprs, n):
-    """One function z -> [e(z) for e in exprs] over n state variables."""
-    fn = _COMPILED.get(exprs)
-    if fn is None:
-        fn = _COMPILED[exprs] = symexpr.compile_expr(list(exprs), n)
-    return fn

@@ -333,8 +333,8 @@ def topological(exprs):
     """Every node under exprs once, each after its arguments.
 
     The order is the post-order of a depth-first walk that visits
-    arguments in order, computed without recursion.  The three
-    emitters (compile_expr, JetTape and SlotTape) consume this walk.
+    arguments in order, computed without recursion.  Both emitters,
+    JetTape and SlotTape, consume this walk.
     """
     order = []
     seen = set()
@@ -478,18 +478,18 @@ class JetTape:
     The nodes under ``exprs`` form one topologically ordered tape (see
     Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
     ``jets[slot]`` is the coefficient list of one node; the first n_vars
-    slots are the state variables' jets, which the caller extends, and
-    ``slots[i]`` is the slot of ``exprs[i]``.  The variables after the
-    states stand for ``params``, in order: their jets are constant, so
-    they hold coefficient 0 only.  Products and positive
+    slots are the variables' jets, which the caller fills: every
+    variable's jet must hold coefficient k before ``step(k)``, whether
+    the caller extends it as it goes (a state) or sets it whole in
+    advance (a constant parameter, a known input).  ``slots[i]`` is the
+    slot of ``exprs[i]``.  Products and positive
     integer powers are split into binary Cauchy products, negative powers
     take the power recurrence, sin and cos of one argument share a rule,
     and tan carries 1 + tan^2 in a slot of its own.
     """
 
-    def __init__(self, exprs, n_vars, params=()):
+    def __init__(self, exprs, n_vars):
         self.n_vars = n_vars
-        self.params = tuple(params)
         self.jets = [[] for _ in range(n_vars)]
         self._code = []  # (rule, out slot, argument slots, parameter)
         self._slots = {}
@@ -520,12 +520,9 @@ class JetTape:
     def _emit(self, e):
         """The slot of a non-constant node whose arguments have theirs."""
         k = e.kind
-        if k == VAR and e.value >= self.n_vars:
-            p = e.value - self.n_vars
-            if p >= len(self.params):
-                raise ValueError(f"variable z{e.value + 1} outside the jet's state and parameters")
-            return self._new(_jet_const, (), self.params[p])
         if k == VAR:
+            if e.value >= self.n_vars:
+                raise ValueError(f"variable z{e.value + 1} outside the jet's {self.n_vars} variables")
             return e.value
         if k == ADD:
             return self._new(_jet_add, tuple(self._arg(a) for a in e.args))
@@ -590,32 +587,6 @@ def _rhs(e, args):
     if k == POW:
         return f"{args[0]} ** {e.value}"
     return f"_math.{k}({args[0]})"
-
-
-def compile_expr(exprs, n_vars):
-    """Compile a list of expressions into one function z -> list of floats.
-
-    Shared subexpressions are emitted once.  Division by zero raises
-    ZeroDivisionError from the generated code, and non-finite values
-    pass through; callers wanting the library's EvaluationError use
-    SlotTape, which maps both.
-    """
-    exprs = [_coerce(e) for e in exprs]
-    lines = []
-    names = {}
-    for e in topological(exprs):
-        if e.kind == CONST:
-            names[e] = repr(e.value)
-        elif e.kind == VAR:
-            names[e] = f"z[{e.value}]"
-        else:
-            names[e] = f"t{len(lines)}"
-            lines.append(f"    {names[e]} = {_rhs(e, [names[a] for a in e.args])}")
-    results = [names[e] for e in exprs]
-    src = "def _field(z):\n" + "\n".join(lines) + f"\n    return [{', '.join(results)}]\n"
-    scope = {"_math": math}
-    exec(compile(src, "<fliess-symexpr>", "exec"), scope)
-    return scope["_field"]
 
 
 class SlotTape:
@@ -687,12 +658,12 @@ class SlotTape:
             # a zero denominator, 0 ** -n, a power's overflow, or a
             # non-finite argument of sin, cos or tan
             raise EvaluationError(
-                "zero denominator, zero base with negative exponent, or overflow in a table entry"
+                "zero denominator, zero base with negative exponent, or overflow in a tape entry"
             ) from None
         # one sum decides the common case; it overflows only if the
         # slots are large, and then the slot-by-slot check decides
         if not math.isfinite(sum(s)) and not all(map(math.isfinite, s)):
-            raise EvaluationError("non-finite value in a table entry")
+            raise EvaluationError("non-finite value in a tape entry")
         return self._read(s)
 
 

@@ -337,6 +337,16 @@ class TestCli:
         assert "malformed inputs document" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exit_code_4_for_infinite_input(self, tmp_path, capsys):
+        # json reads Infinity; the first stage of the first step is not finite
+        inputs = tmp_path / "inputs.json"
+        self.write_inputs(inputs, steering_rate=[math.inf])
+        assert "Infinity" in inputs.read_text()
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--inputs", str(inputs), "--out", str(out), "--steps", "10"]) == 4
+        assert capsys.readouterr().err == "error: non-finite state at t=0.01\n"
+        assert not out.exists()
+
     def test_exit_code_1_for_zero_steps(self, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"
         self.write_inputs(inputs)

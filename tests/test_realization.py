@@ -244,25 +244,26 @@ class TestFliessEval:
 
 
 def literal_rk4_simulate(realization, u, horizon, steps):
-    """RK4 on numpy state vectors with the input evaluated at every stage."""
+    """RK4 on numpy state vectors with the input evaluated at every stage.
+
+    Each field is evaluated on its own and mixed in as drift + u_i * g_i,
+    field by field; a stage without a finite value fails the step.
+    """
     n = realization.n_states
     m = realization.n_inputs
     params = list(realization.params)
-    raw = se.compile_expr([e for col in realization.fields for e in col], n)
-    out_fn = se.compile_expr(list(realization.outputs), n)
 
-    def field_fn(z, uv):
-        vals = raw([*z, *params])
-        out = vals[:n]
-        for i in range(m):
-            gi = vals[(i + 1) * n : (i + 2) * n]
-            ui = uv[i]
-            out = [a + ui * b for a, b in zip(out, gi)]
-        return out
+    def values(exprs, z):
+        point, memo = [*z, *params], {}
+        return [se.evaluate(e, point, memo) for e in exprs]
 
     def rhs(t, z):
         uv = u.eval(t) if m else np.zeros(0)
-        return np.array(field_fn(z, uv))
+        out = values(realization.fields[0], z)
+        for i in range(m):
+            ui = uv[i]
+            out = [a + ui * b for a, b in zip(out, values(realization.fields[i + 1], z))]
+        return np.array(out)
 
     h = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
@@ -271,15 +272,18 @@ def literal_rk4_simulate(realization, u, horizon, steps):
     z = np.array(realization.z0, dtype=float)
     for k in range(steps):
         t = times[k]
-        k1 = rhs(t, z)
-        k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
-        k4 = rhs(t + h, z + h * k3)
+        try:
+            k1 = rhs(t, z)
+            k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
+            k4 = rhs(t + h, z + h * k3)
+        except EvaluationError:
+            raise SimulationError(times[k + 1]) from None
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(z)):
             raise SimulationError(times[k + 1])
         states[k + 1] = z
-    outputs = np.array([out_fn([*s, *params]) for s in states])
+    outputs = np.array([values(realization.outputs, s) for s in states])
     return Trajectory(times=times, states=states, outputs=outputs)
 
 
@@ -316,6 +320,31 @@ class TestRk4AgainstLiteral:
         r = Realization(
             fields=[[se.ONE / se.var(1), se.ZERO]], outputs=[se.var(0)], z0=(0.0, 0.0)
         )
+        for simulate in (rk4_simulate, literal_rk4_simulate):
+            with pytest.raises(SimulationError, match="non-finite state at t=0.1") as info:
+                simulate(r, None, 1.0, 10)
+            assert info.value.time == np.linspace(0.0, 1.0, 11)[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_node_kind_taylor_input(self, seed):
+        # each state's right-hand side sums several terms in the
+        # constructors' order, so it may round apart from the per-field
+        # mix in the last bit
+        rng = np.random.default_rng(seed)
+        r = every_node_kind(rng, rng.uniform(-0.5, 0.5, size=3))
+        u = ControlSignal.from_taylor(list(rng.normal(size=(2, 4))), horizon=0.2)
+        got = rk4_simulate(r, u, 0.2, 40)
+        want = literal_rk4_simulate(r, u, 0.2, 40)
+        assert np.array_equal(got.times, want.times)
+        for a, b in ((got.states, want.states), (got.outputs, want.outputs)):
+            assert a.shape == b.shape
+            assert np.all(np.abs(a - b) <= 1e-15 * (1.0 + np.abs(b)))
+
+    def test_infinite_stage_maps_to_step_end(self):
+        # the first stage overflows (1e308 * 10): the next would take sin
+        # of an infinity, so the step fails instead of raising a domain error
+        z1 = se.var(0)
+        r = Realization(fields=[[1e308 * z1 + se.sin(z1)]], outputs=[z1], z0=(10.0,))
         for simulate in (rk4_simulate, literal_rk4_simulate):
             with pytest.raises(SimulationError, match="non-finite state at t=0.1") as info:
                 simulate(r, None, 1.0, 10)

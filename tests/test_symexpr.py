@@ -113,22 +113,6 @@ class TestEvaluate:
         assert se.evaluate(e1, [0.3], memo) == 0.0
 
 
-class TestCompile:
-    def test_matches_evaluate(self, rng):
-        z = [se.var(i) for i in range(3)]
-        exprs = [gnarly(*z), z[0] * z[1] - 1.0, se.const(2.5)]
-        f = se.compile_expr(exprs, 3)
-        for pt in sample_points(rng, 3):
-            got = f(pt)
-            want = [se.evaluate(e, pt) for e in exprs]
-            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
-
-    def test_zero_division_from_generated_code(self):
-        f = se.compile_expr([se.const(1.0) / se.var(0)], 1)
-        with pytest.raises(ZeroDivisionError):
-            f([0.0])
-
-
 class TestTopological:
     def test_arguments_precede_their_nodes_once_each(self):
         z = [se.var(i) for i in range(3)]
