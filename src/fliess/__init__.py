@@ -57,7 +57,6 @@ from fliess.planner import (
     smooth_path,
 )
 from fliess.realization import (
-    ControlSignal,
     Realization,
     Trajectory,
     fliess_eval,
@@ -95,7 +94,6 @@ __all__ = [
     "AlphabetMismatchError",
     "CarParams",
     "Circle",
-    "ControlSignal",
     "ConvergenceError",
     "DeltaSeries",
     "EvaluationError",

@@ -23,6 +23,7 @@ from fliess.errors import (
     SimulationError,
     SingularConstantTermError,
     SplineFitError,
+    decoding,
 )
 from fliess.inversion import TaylorOutput, left_invert
 from fliess.pipeline import PipelineConfig, run_pipeline
@@ -34,7 +35,7 @@ from fliess.planner import (
     rrt_plan,
     smooth_and_spline,
 )
-from fliess.realization import ControlSignal, Trajectory, rk4_simulate
+from fliess.realization import Trajectory, rk4_simulate
 from fliess.series import (
     MatrixSeries,
     Series,
@@ -78,10 +79,8 @@ def cmd_plan(args):
 
 def cmd_spline(args):
     doc = load_json_document(args.path)
-    try:
+    with decoding("path", doc):
         points = [tuple(float(v) for v in p) for p in doc["points"]]
-    except (KeyError, TypeError) as exc:
-        raise MapFormatError(f"malformed path document: {exc}") from exc
     obstacle_map = load_map(args.map) if args.map else None
     spline = smooth_and_spline(
         points,
@@ -131,16 +130,14 @@ def cmd_invert(args):
 
 def cmd_simulate(args):
     doc = load_json_document(args.inputs)
-    try:
+    with decoding("inputs", doc):
         params = CarParams(length=doc["params"]["L"], k=doc["params"]["k"])
         sections = []
         for entry in doc["sections"]:
             init = SectionInit(**{k: float(v) for k, v in entry["init"].items()})
             duration = float(entry["duration"])
-            u = ControlSignal.from_taylor([entry["steering_rate"], entry["speed_rate"]], duration)
+            u = TaylorOutput([entry["steering_rate"], entry["speed_rate"]])
             sections.append((augmented_realization(init, params), u, duration))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise MapFormatError(f"malformed inputs document: {exc}") from exc
     pieces = [rk4_simulate(r, u, duration, args.steps) for r, u, duration in sections]
     combined = Trajectory.concat(pieces)
     combined.to_csv(args.out)

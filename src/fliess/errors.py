@@ -1,9 +1,13 @@
 """Exception hierarchy.
 
 Grouped so the CLI can map failures onto stable exit codes:
-planning failures (2), inversion precondition failures (3), and
-numeric singularities (4).
+planning failures and malformed documents (2), inversion
+precondition failures (3), and numeric singularities (4).  Every
+JSON decoder runs inside decoding(), so a malformed document raises
+MapFormatError whatever went wrong inside it.
 """
+
+from contextlib import contextmanager
 
 
 class FliessError(Exception):
@@ -79,3 +83,26 @@ class SplineFitError(FliessError):
 
 class MapFormatError(FliessError, ValueError):
     """Malformed obstacle-map, path, or spline document."""
+
+
+@contextmanager
+def decoding(what, obj):
+    """Decode the JSON object obj inside the block; any failure is a MapFormatError.
+
+    A document that is not an object, or whose fields have the wrong
+    shape or type, raises MapFormatError("malformed <what> document:
+    ...") instead of leaking the KeyError, TypeError or IndexError that
+    the decoder ran into.  A MapFormatError from a nested decoder passes
+    through unchanged; a non-finite number is not a format error and
+    keeps its own exception.
+    """
+    if not isinstance(obj, dict):
+        raise MapFormatError(
+            f"malformed {what} document: expected an object, got {type(obj).__name__}"
+        )
+    try:
+        yield
+    except MapFormatError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise MapFormatError(f"malformed {what} document: {exc}") from exc

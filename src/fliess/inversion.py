@@ -50,6 +50,7 @@ from fliess.errors import (
     NoRelativeDegreeError,
     NonFiniteError,
     SingularDecouplingError,
+    decoding,
 )
 from fliess.realization import planned
 from fliess.series import (
@@ -70,8 +71,10 @@ MATCHING_TOL = 1e-9
 class TaylorOutput:
     """Per-channel Taylor expansions in series convention.
 
-    coeffs[i][k] multiplies t^k / k!; all channels carry the same
-    number of coefficients.
+    coeffs[i][k] multiplies t^k / k!; every channel is a non-empty
+    list of numbers, and all carry the same number of coefficients.
+    eval(t) gives the channels' values, so an input expansion from
+    left_invert drives the simulator as it is.
     """
 
     coeffs: list
@@ -80,9 +83,10 @@ class TaylorOutput:
         coeffs = [np.asarray(c, dtype=float) for c in coeffs]
         if not coeffs:
             raise ValueError("need at least one channel")
-        width = coeffs[0].shape[0]
         for c in coeffs:
-            if c.shape != (width,):
+            if c.ndim != 1 or c.size == 0:
+                raise ValueError("each channel must be a non-empty list of coefficients")
+            if c.shape != coeffs[0].shape:
                 raise ValueError("channels must carry equally many coefficients")
         self.coeffs = coeffs
 
@@ -120,12 +124,10 @@ class TaylorOutput:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with decoding("Taylor", obj):
             if obj.get("convention", "series") != "series":
                 raise MapFormatError(f"unsupported Taylor convention {obj['convention']!r}")
             return cls(obj["outputs"])
-        except (KeyError, TypeError) as exc:
-            raise MapFormatError(f"malformed Taylor document: {exc}") from exc
 
     @classmethod
     def from_series(cls, series, degree):

@@ -28,13 +28,7 @@ import numpy as np
 from fliess.errors import ConvergenceError
 from fliess.inversion import left_invert
 from fliess.planner import PathSpline, extract_path, fit_spline, rrt_plan, smooth_path
-from fliess.realization import (
-    ControlSignal,
-    Trajectory,
-    generating_series,
-    rk4_simulate,
-    taylor_outputs,
-)
+from fliess.realization import Trajectory, generating_series, rk4_simulate, taylor_outputs
 from fliess.svgplot import SvgCanvas, draw_map
 from fliess.vehicle import CarParams, SectionInit, augmented_realization, solve_first_order_match
 
@@ -74,8 +68,8 @@ class PipelineConfig:
                 "series_degree must be at least inversion_degree + 2 "
                 "(the extended car has vector relative degree [2, 2])"
             )
-        if self.sections < 1 or self.total_time <= 0.0:
-            raise ValueError("need a positive section count and total time")
+        if self.sections < 1 or not 0.0 < self.total_time < math.inf:
+            raise ValueError("need a positive section count and a positive, finite total time")
         if self.rk4_steps < 1:
             raise ValueError("need at least one RK4 step per section")
         if self.handoff not in ("measured", "planned"):
@@ -130,8 +124,7 @@ def run_section(section, init, cfg, state_jump=None):
     c_y = section.taylor_output(constants=(init.z1, init.z2))
     c_u = left_invert(c, c_y, cfg.inversion_degree, matching_tol=cfg.matching_tol)
 
-    u = ControlSignal.from_taylor(c_u.coeffs, section.duration)
-    trajectory = rk4_simulate(realization, u, section.duration, cfg.rk4_steps)
+    trajectory = rk4_simulate(realization, c_u, section.duration, cfg.rk4_steps)
 
     yhat = taylor_outputs(realization, c_u.coeffs, cfg.series_degree)
     errors = c_y.padded(cfg.series_degree) - yhat

@@ -29,7 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-from fliess.errors import MapFormatError, PlanningError, SplineFitError
+from fliess.errors import MapFormatError, PlanningError, SplineFitError, decoding
 from fliess.inversion import TaylorOutput
 from fliess.vehicle import CarParams, SectionInit, solve_first_order_match
 
@@ -305,7 +305,7 @@ class ObstacleMap:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with decoding("map", obj):
             obstacles = []
             for entry in obj.get("obstacles", []):
                 kind = entry["type"]
@@ -321,8 +321,6 @@ class ObstacleMap:
                 else:
                     raise MapFormatError(f"unknown obstacle type {kind!r}")
             return cls(obj["bounds"], obstacles, obj["start"], obj["goal"])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise MapFormatError(f"malformed map document: {exc}") from exc
 
 
 def load_map(path):
@@ -562,7 +560,7 @@ class PathSpline:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with decoding("spline", obj):
             sections = []
             for entry in obj["sections"]:
                 if "poly" in entry:
@@ -577,8 +575,6 @@ class PathSpline:
             if not sections:
                 raise MapFormatError("spline document has no sections")
             return cls(tuple(sections))
-        except (KeyError, TypeError) as exc:
-            raise MapFormatError(f"malformed spline document: {exc}") from exc
 
 
 def load_spline(path):
@@ -626,8 +622,8 @@ def fit_spline(
         raise SplineFitError("need at least two path points")
     if sections < 1:
         raise SplineFitError("need at least one section")
-    if total_time <= 0.0:
-        raise SplineFitError("total time must be positive")
+    if not 0.0 < total_time < math.inf:
+        raise SplineFitError("total time must be positive and finite")
     duration = total_time / sections
     n_samples = sections * samples_per_section + 1
     resampled = _resample_arclength(path, n_samples)

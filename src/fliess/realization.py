@@ -23,28 +23,31 @@ parameter value, costs one run of the tape.  The series keeps its plan
 and the plan-aligned values, and the left inversion reads them
 through index maps it derives once per plan.
 
-The functional evaluator sums coefficient-weighted iterated integrals
-on a shared uniform grid (trapezoid rule, 2000 points per unit time by
-default).  Both integrators read one right-hand side, the symbolic
-g0 + sum_i u_i g_i per state with the inputs as the variables after
-the parameters.  The ground-truth simulator is fixed-step classical
-Runge-Kutta: it evaluates the input once per step grid (step starts,
-midpoints and ends) and steps on plain floats through a cached
-SlotTape of that right-hand side.  Under polynomial inputs,
-Taylor-mode integration of the same right-hand side (a JetTape) gives
-the output's Taylor coefficients at the initial state without the
-series.
+The functional evaluator and the simulator read the input through
+its eval(t), which returns the (m, len(t)) input values; in the
+pipeline that is the left inversion's TaylorOutput, so RK4 integrates
+the very expansion the inversion produced.  The functional evaluator
+sums coefficient-weighted iterated integrals on a shared uniform grid
+(trapezoid rule, 2000 points per unit time by default).  Both
+integrators read one right-hand side, the symbolic g0 + sum_i u_i g_i
+per state with the inputs as the variables after the parameters.  The
+ground-truth simulator is fixed-step classical Runge-Kutta: it
+evaluates the input once per step grid (step starts, midpoints and
+ends) and steps on plain floats through a cached SlotTape of that
+right-hand side.  Under polynomial inputs, Taylor-mode integration of
+the same right-hand side (a cached JetTape) gives the output's Taylor
+coefficients at the initial state without the series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from fliess import symexpr
-from fliess.errors import EvaluationError, MapFormatError, SimulationError
+from fliess.errors import EvaluationError, SimulationError, decoding
 from fliess.series import EPS, Series, VectorSeries
 
 DEFAULT_GRID_DENSITY = 2000  # points per unit time
@@ -115,14 +118,12 @@ class Realization:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with decoding("realization", obj):
             params = obj.get("params", [])
             n_vars = obj["n"] + len(params)
             fields = [[symexpr.parse_expr(t, n_vars) for t in col] for col in obj["fields"]]
             outputs = [symexpr.parse_expr(t, n_vars) for t in obj["outputs"]]
             return cls(fields, outputs, obj["z0"], params)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MapFormatError(f"malformed realization document: {exc}") from exc
 
 
 def lie_derivative(g, h):
@@ -300,63 +301,6 @@ def generating_series(realization, degree):
 
 
 # ---------------------------------------------------------------------------
-# control signals
-
-
-@dataclass
-class ControlSignal:
-    """Vector input signal on [0, horizon].
-
-    Either polynomial-in-time per input (monomial coefficients) or
-    sampled values on a uniform grid with linear interpolation.
-    """
-
-    kind: str
-    horizon: float
-    poly: list = field(default_factory=list)  # monomial coeffs per input
-    times: np.ndarray = None
-    values: np.ndarray = None  # shape (m, len(times))
-
-    @classmethod
-    def from_monomial(cls, coeffs, horizon):
-        return cls(kind="poly", horizon=float(horizon), poly=[np.asarray(c, dtype=float) for c in coeffs])
-
-    @classmethod
-    def from_taylor(cls, coeffs, horizon):
-        """coeffs[i][k] are series-convention values: u_i(t) = sum_k c_k t^k / k!."""
-        mono = [
-            np.array([c / math.factorial(k) for k, c in enumerate(ci)])
-            for ci in coeffs
-        ]
-        return cls.from_monomial(mono, horizon)
-
-    @classmethod
-    def constant(cls, values, horizon):
-        return cls.from_monomial([[v] for v in values], horizon)
-
-    @classmethod
-    def from_samples(cls, times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[1] != times.shape[0]:
-            raise ValueError("sample count and time count differ")
-        return cls(kind="samples", horizon=float(times[-1]), times=times, values=values)
-
-    @property
-    def n_inputs(self):
-        return len(self.poly) if self.kind == "poly" else self.values.shape[0]
-
-    def eval(self, t):
-        """Evaluate at scalar time or array of times; returns (m,) or (m, len(t))."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "poly":
-            rows = [np.polynomial.polynomial.polyval(t, c) for c in self.poly]
-        else:
-            rows = [np.interp(t, self.times, vi) for vi in self.values]
-        return np.array(rows)
-
-
-# ---------------------------------------------------------------------------
 # functional evaluation
 
 
@@ -375,9 +319,11 @@ def uniform_grid(horizon, density=DEFAULT_GRID_DENSITY):
 def fliess_eval(series, u, grid):
     """Evaluate the Chen-Fliess functional of the series along input u.
 
-    u may be a ControlSignal or a pre-evaluated (m, len(grid)) array.
-    The drift channel u_0 = 1 is implicit.  Iterated integrals are
-    shared across words through their suffixes.
+    u is either an input with an eval(t) method returning the (m,
+    len(t)) input values, such as the TaylorOutput that left_invert
+    returns, or those values on the grid already.  The drift channel
+    u_0 = 1 is implicit.  Iterated integrals are shared across words
+    through their suffixes.
     """
     scalar = isinstance(series, Series)
     if scalar:
@@ -385,7 +331,7 @@ def fliess_eval(series, u, grid):
     grid = np.asarray(grid, dtype=float)
     dt = grid[1] - grid[0]
     m = series.alphabet_size - 1
-    if isinstance(u, ControlSignal):
+    if hasattr(u, "eval"):
         u_vals = u.eval(grid) if m else np.zeros((0, grid.size))
     else:
         u_vals = np.atleast_2d(np.asarray(u, dtype=float))
@@ -471,7 +417,9 @@ def _right_hand_side(realization):
 
 
 # tapes keyed by the expression tuple itself: interned nodes hash by
-# identity, and the key keeps them alive
+# identity, and the key keeps them alive.  A JetTape's key leads with
+# "jet" and its variable count, apart from the SlotTapes: with no
+# states, a realization's rhs + outputs is its outputs tuple.
 _COMPILED = {}
 
 
@@ -483,15 +431,26 @@ def _tape(exprs):
     return tape
 
 
+def _jet_tape(exprs, n_vars):
+    """The cached JetTape of a tuple of expressions over n_vars variables."""
+    key = ("jet", n_vars, exprs)
+    tape = _COMPILED.get(key)
+    if tape is None:
+        tape = _COMPILED[key] = symexpr.JetTape(exprs, n_vars)
+    return tape
+
+
 def rk4_simulate(realization, u, horizon, steps):
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
-    The input is evaluated once per call, vectorised on each stage-time
-    grid (t_k, t_k + h/2, t_k + h); each stage then runs the tape of
-    the right-hand side on Python floats at the state, the parameters
-    and the stage's input values.  Raises SimulationError with the
-    first offending time if a stage or the state leaves the finite
-    range.
+    u has an eval(t) method returning the (m, len(t)) input values,
+    such as the TaylorOutput that left_invert returns; it may be None
+    when the realization has no inputs.  The input is evaluated once
+    per call, vectorised on each stage-time grid (t_k, t_k + h/2,
+    t_k + h); each stage then runs the tape of the right-hand side on
+    Python floats at the state, the parameters and the stage's input
+    values.  Raises SimulationError with the first offending time if a
+    stage or the state leaves the finite range.
     """
     if steps < 1:
         raise ValueError("RK4 needs at least one step")
@@ -559,13 +518,13 @@ def taylor_outputs(realization, u, degree):
     for ui in u:
         coeffs = [float(c) / math.factorial(k) for k, c in enumerate(ui[: degree + 1])]
         known.append(coeffs + [0.0] * (degree + 1 - len(coeffs)))
-    tape = symexpr.JetTape(_right_hand_side(realization) + realization.outputs, n + len(known))
-    jets, slots = tape.jets, tape.slots
+    tape = _jet_tape(_right_hand_side(realization) + realization.outputs, n + len(known))
+    jets, slots = tape.fresh(), tape.slots
     jets[n : n + len(known)] = known
     for s, v in enumerate(realization.z0):
         jets[s].append(v)
     for k in range(degree + 1):
-        tape.step(k)
+        tape.step(jets, k)
         if k == degree:
             break
         for s in range(n):

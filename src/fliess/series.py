@@ -29,6 +29,7 @@ from fliess.errors import (
     MapFormatError,
     NonFiniteError,
     SingularConstantTermError,
+    decoding,
 )
 
 import numpy as np
@@ -305,11 +306,9 @@ class Series:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with decoding("series", obj):
             terms = {tuple(t["word"]): t["coeff"] for t in obj["terms"]}
             return cls(obj["alphabet_size"], obj["max_degree"], terms)
-        except (KeyError, TypeError) as exc:
-            raise MapFormatError(f"malformed series document: {exc}") from exc
 
 
 class VectorSeries:
@@ -403,10 +402,8 @@ class VectorSeries:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with decoding("vector-series", obj):
             return cls([Series.from_json_dict(c) for c in obj["components"]])
-        except (KeyError, TypeError) as exc:
-            raise MapFormatError(f"malformed vector-series document: {exc}") from exc
 
 
 class MatrixSeries:
@@ -496,10 +493,8 @@ class MatrixSeries:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with decoding("matrix-series", obj):
             return cls([[Series.from_json_dict(e) for e in row] for row in obj["entries"]])
-        except (KeyError, TypeError) as exc:
-            raise MapFormatError(f"malformed matrix-series document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -724,12 +719,10 @@ def load_json_document(path):
 
 def series_from_json(obj):
     """Detect and decode a scalar, vector, or matrix series document."""
-    if "terms" in obj:
-        return Series.from_json_dict(obj)
-    if "components" in obj:
-        return VectorSeries.from_json_dict(obj)
-    if "entries" in obj:
-        return MatrixSeries.from_json_dict(obj)
+    if isinstance(obj, dict):
+        for key, cls in (("terms", Series), ("components", VectorSeries), ("entries", MatrixSeries)):
+            if key in obj:
+                return cls.from_json_dict(obj)
     raise MapFormatError("document is not a series (expected terms/components/entries)")
 
 

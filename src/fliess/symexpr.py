@@ -476,21 +476,23 @@ class JetTape:
     """Taylor-mode automatic differentiation of expressions along a state jet.
 
     The nodes under ``exprs`` form one topologically ordered tape (see
-    Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
-    ``jets[slot]`` is the coefficient list of one node; the first n_vars
-    slots are the variables' jets, which the caller fills: every
-    variable's jet must hold coefficient k before ``step(k)``, whether
-    the caller extends it as it goes (a state) or sets it whole in
-    advance (a constant parameter, a known input).  ``slots[i]`` is the
-    slot of ``exprs[i]``.  Products and positive
-    integer powers are split into binary Cauchy products, negative powers
-    take the power recurrence, sin and cos of one argument share a rule,
-    and tan carries 1 + tan^2 in a slot of its own.
+    Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).  The
+    tape holds the program only, so one tape serves any number of
+    expansions: ``fresh()`` gives a list of empty jets, ``jets[slot]``
+    being the coefficient list of one node.  The first n_vars slots are
+    the variables' jets, which the caller fills: every variable's jet
+    must hold coefficient k before ``step(jets, k)``, whether the caller
+    extends it as it goes (a state) or sets it whole in advance (a
+    constant parameter, a known input).  ``slots[i]`` is the slot of
+    ``exprs[i]``.  Products and positive integer powers are split into
+    binary Cauchy products, negative powers take the power recurrence,
+    sin and cos of one argument share a rule, and tan carries 1 + tan^2
+    in a slot of its own.
     """
 
     def __init__(self, exprs, n_vars):
         self.n_vars = n_vars
-        self.jets = [[] for _ in range(n_vars)]
+        self.n_slots = n_vars
         self._code = []  # (rule, out slot, argument slots, parameter)
         self._slots = {}
         self._trig = {}  # argument slot -> (sin slot, cos slot)
@@ -501,8 +503,8 @@ class JetTape:
         self.slots = [self._arg(e) for e in exprs]
 
     def _slot(self):
-        self.jets.append([])
-        return len(self.jets) - 1
+        self.n_slots += 1
+        return self.n_slots - 1
 
     def _new(self, rule, args, param=None):
         out = self._slot()
@@ -558,14 +560,17 @@ class JetTape:
             return pair[0] if k == SIN else pair[1]
         return self._new(_jet_tan, (self._arg(e.args[0]),), self._slot())
 
-    def step(self, k):
-        """Append coefficient k to every node's jet.
+    def fresh(self):
+        """One empty jet per slot."""
+        return [[] for _ in range(self.n_slots)]
 
-        The state jets must already hold coefficient k.  Raises
+    def step(self, jets, k):
+        """Append coefficient k to every node's jet in jets.
+
+        The variables' jets must already hold coefficient k.  Raises
         EvaluationError on a zero denominator, a zero base with a
         negative exponent, or a non-finite coefficient.
         """
-        jets = self.jets
         try:
             for rule, out, args, param in self._code:
                 rule(jets, out, args, param, k)

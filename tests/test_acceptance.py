@@ -19,13 +19,7 @@ from fliess.composition import DeltaSeries, compose, group_inverse
 from fliess.inversion import TaylorOutput, left_invert, tracking_error_series
 from fliess.pipeline import PipelineConfig, run_pipeline
 from fliess.planner import bundled_map
-from fliess.realization import (
-    ControlSignal,
-    Realization,
-    fliess_eval,
-    generating_series,
-    rk4_simulate,
-)
+from fliess.realization import Realization, fliess_eval, generating_series, rk4_simulate
 from fliess.series import Series, VectorSeries, shuffle, shuffle_inverse
 from fliess import symexpr as se
 from fliess.vehicle import (
@@ -201,14 +195,14 @@ def test_car_series_tracks_integrator_then_diverges():
     grid = np.linspace(0.0, horizon, steps + 1)
     u_arr = np.vstack([np.full_like(grid, 1.5), np.full_like(grid, 0.8)])
     y_series = fliess_eval(c, u_arr, grid)
-    traj = rk4_simulate(real, ControlSignal.constant([1.5, 0.8], horizon), horizon, steps)
+    traj = rk4_simulate(real, TaylorOutput([[1.5], [0.8]]), horizon, steps)
     sup = float(np.max(np.abs(y_series - traj.outputs)))
 
     # beyond the horizon the truncation error must keep growing
     grid2 = np.linspace(0.0, 0.5, 2 * steps + 1)
     u2 = np.vstack([np.full_like(grid2, 1.5), np.full_like(grid2, 0.8)])
     y2 = fliess_eval(c, u2, grid2)
-    traj2 = rk4_simulate(real, ControlSignal.constant([1.5, 0.8], 0.5), 0.5, 2 * steps)
+    traj2 = rk4_simulate(real, TaylorOutput([[1.5], [0.8]]), 0.5, 2 * steps)
     err = np.max(np.abs(y2 - traj2.outputs), axis=1)
     idx = [steps + 400 * j for j in range(6)]  # t = 0.25, 0.30, ..., 0.50
     growing = all(err[idx[j + 1]] > err[idx[j]] for j in range(5))

@@ -50,10 +50,11 @@ def car_series(init=(0.3, -0.5, 0.2, 0.4, 1.6), degree=6):
 
 class TestTaylorOutput:
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            TaylorOutput([])
-        with pytest.raises(ValueError):
-            TaylorOutput([[1.0, 2.0], [1.0]])
+        # no channel, unequal channels, and channels that are not a
+        # non-empty list of numbers
+        for coeffs in ([], [[1.0, 2.0], [1.0]], [5], [[1.0], 5], [[]], [[[1.0, 2.0]]], [["a"]]):
+            with pytest.raises(ValueError):
+                TaylorOutput(coeffs)
 
     def test_eval_uses_series_convention(self):
         y = TaylorOutput([[1.0, 0.0, 4.0]])

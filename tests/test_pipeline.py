@@ -47,6 +47,19 @@ def empty_map():
     return ObstacleMap(bounds=(0, 0, 10, 10), obstacles=(), start=(1, 1), goal=(9, 9))
 
 
+def series_doc(max_degree=3, word=(1,), coeff=1.0):
+    """A scalar series document over two letters with one term."""
+    return {"alphabet_size": 2, "max_degree": max_degree, "terms": [{"word": word, "coeff": coeff}]}
+
+
+def map_doc(**overrides):
+    return dict(empty_map().to_json_dict(), **overrides)
+
+
+def straight_section():
+    return fit_spline([(0.0, 0.0), (2.0, 0.0)], 1, total_time=0.5).sections[0]
+
+
 def curved_section():
     theta = np.linspace(0.0, 0.8, 30)
     arc = [(2 * math.sin(a), 2 * (1 - math.cos(a))) for a in theta]
@@ -66,8 +79,9 @@ class TestConfig:
             PipelineConfig(series_degree=6, inversion_degree=6).validate()
         with pytest.raises(ValueError):
             PipelineConfig(sections=0).validate()
-        with pytest.raises(ValueError):
-            PipelineConfig(total_time=0.0).validate()
+        for total_time in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive, finite total time"):
+                PipelineConfig(total_time=total_time).validate()
         with pytest.raises(ValueError):
             PipelineConfig(handoff="psychic").validate()
         with pytest.raises(ValueError):
@@ -327,6 +341,9 @@ class TestCli:
             {"init": {"z1": 0.0, "z2": 0.0, "z3": 0.0, "z4": 0.1}},  # no z5
             {"init": [0.0, 0.0, 0.0, 0.1, 1.0]},
             {"duration": "short"},
+            {"steering_rate": 5},
+            {"steering_rate": []},
+            {"steering_rate": [0.0, 1.0]},  # channels of unequal length
         ],
     )
     def test_exit_code_2_for_malformed_simulate_inputs(self, tmp_path, capsys, overrides):
@@ -346,6 +363,14 @@ class TestCli:
         assert main(["simulate", "--inputs", str(inputs), "--out", str(out), "--steps", "10"]) == 4
         assert capsys.readouterr().err == "error: non-finite state at t=0.01\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("total_time", ["nan", "inf"])
+    def test_exit_code_2_for_non_finite_spline_time(self, tmp_path, capsys, total_time):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"points": [[0.0, 0.0], [2.0, 0.0]]}))
+        argv = ["spline", "--path", str(path), "--sections", "1", "--out", str(tmp_path / "o")]
+        assert main(argv + ["--total-time", total_time]) == 2
+        assert capsys.readouterr().err == "error: total time must be positive and finite\n"
 
     def test_exit_code_1_for_zero_steps(self, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"
@@ -387,6 +412,51 @@ class TestCli:
             == 2
         )
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command,document",
+        [
+            pytest.param("series", series_doc(coeff="x"), id="coefficient-x"),
+            pytest.param("series", series_doc(word=[5]), id="letter-outside-alphabet"),
+            pytest.param("series", series_doc(max_degree=-1), id="negative-max-degree"),
+            pytest.param("series", 5, id="series-number"),
+            pytest.param("invert-op", {"outputs": [["a"], [0.0]]}, id="reference-string"),
+            pytest.param("invert-op", {"outputs": [[0.0, 1.0], [0.0]]}, id="reference-ragged"),
+            pytest.param("invert-op", {"outputs": [5, 5]}, id="reference-numbers"),
+            pytest.param("invert-op", [5, 5], id="reference-list"),
+            pytest.param("map", map_doc(bounds="x"), id="map-bounds-x"),
+            pytest.param(
+                "map",
+                map_doc(obstacles=[{"type": "circle", "center": [5, 5], "radius": "r"}]),
+                id="map-radius-r",
+            ),
+            pytest.param("map", 5, id="map-number"),
+            pytest.param("map", [1, 2], id="map-list"),
+            pytest.param(
+                "spline",
+                {"sections": [dict(straight_section().to_json_dict(), duration="d")]},
+                id="spline-duration-d",
+            ),
+            pytest.param("path", {"points": [["a", 1], [1.0, 1.0]]}, id="path-point-a"),
+        ],
+    )
+    def test_exit_code_2_for_malformed_documents(self, tmp_path, capsys, command, document):
+        doc = tmp_path / "doc.json"
+        out = tmp_path / "o"
+        doc.write_text(json.dumps(document))
+        plant = tmp_path / "plant.json"
+        dump_json(Series(3, 4, {(0, 1): 1.0}), plant)
+        argv = {
+            "series": ["series", "shinverse", "--in", str(doc)],
+            "invert-op": ["series", "invert-op", "--in", str(plant), "--in2", str(doc), "--degree", "2"],
+            "map": ["plan", "--map", str(doc)],
+            "spline": ["invert", "--spline", str(doc)],
+            "path": ["spline", "--path", str(doc)],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_exit_code_2_for_unreachable_goal(self, tmp_path, capsys):
         from test_planner import walled_goal_map

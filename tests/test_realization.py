@@ -9,7 +9,6 @@ from fliess.series import EPS
 from fliess.inversion import TaylorOutput, left_invert, tracking_error_series
 from fliess.realization import (
     _TABLE_CACHE,
-    ControlSignal,
     _coefficient_table,
     Realization,
     Trajectory,
@@ -182,40 +181,11 @@ class TestGeneratingSeries:
         assert (1, 0) not in t1 and (2, 0) not in t1
 
 
-class TestControlSignal:
-    def test_polynomial_eval(self):
-        u = ControlSignal.from_monomial([[1.0, 0.0, 3.0], [0.5]], horizon=2.0)
-        t = np.array([0.0, 0.5, 1.0])
-        vals = u.eval(t)
-        assert vals.shape == (2, 3)
-        assert np.allclose(vals[0], 1.0 + 3.0 * t**2)
-        assert np.allclose(vals[1], 0.5)
-
-    def test_taylor_divides_factorials(self):
-        u = ControlSignal.from_taylor([[0.0, 0.0, 4.0]], horizon=1.0)
-        # series convention: u(t) = 4 t^2 / 2!
-        assert u.eval(1.0)[0] == pytest.approx(2.0)
-
-    def test_constant(self):
-        u = ControlSignal.constant([1.5, 0.8], horizon=0.25)
-        assert np.allclose(u.eval(0.2), [1.5, 0.8])
-        assert u.n_inputs == 2
-
-    def test_samples_interpolate(self):
-        u = ControlSignal.from_samples([0.0, 1.0], [[0.0, 2.0]])
-        assert u.eval(0.25)[0] == pytest.approx(0.5)
-        assert u.horizon == 1.0
-
-    def test_samples_shape_check(self):
-        with pytest.raises(ValueError):
-            ControlSignal.from_samples([0.0, 1.0], [[0.0, 1.0, 2.0]])
-
-
 class TestFliessEval:
     def test_double_integrator_cubic(self):
         c = generating_series(double_integrator(0.0, 0.0), 4)[0]
         grid = uniform_grid(0.5, density=8000)
-        u = ControlSignal.from_monomial([[0.0, 1.0]], horizon=0.5)  # u = t
+        u = TaylorOutput([[0.0, 1.0]])  # u = t
         y = fliess_eval(c, u, grid)
         assert np.max(np.abs(y - grid**3 / 6.0)) < 1e-7
 
@@ -230,7 +200,7 @@ class TestFliessEval:
         r = Realization(fields=r.fields, outputs=[se.var(0), se.var(1)], z0=r.z0)
         c = generating_series(r, 4)
         grid = uniform_grid(0.5, density=4000)
-        u = ControlSignal.constant([1.0, 1.0], horizon=0.5)
+        u = TaylorOutput([[1.0], [1.0]])
         y = fliess_eval(c, u, grid)
         assert y.shape == (grid.size, 2)
         assert np.max(np.abs(y[:, 0] - grid)) < 1e-7
@@ -241,6 +211,17 @@ class TestFliessEval:
         grid = uniform_grid(0.5)
         with pytest.raises(ValueError):
             fliess_eval(c, np.ones((1, grid.size)), grid)
+
+
+class SampledInput:
+    """Samples on a time grid, linearly interpolated: an input that is no polynomial."""
+
+    def __init__(self, times, values):
+        self.times = np.asarray(times, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+
+    def eval(self, t):
+        return np.array([np.interp(t, self.times, v) for v in self.values])
 
 
 def literal_rk4_simulate(realization, u, horizon, steps):
@@ -298,16 +279,15 @@ def assert_same_trajectory(realization, u, horizon, steps):
 class TestRk4AgainstLiteral:
     def test_extended_car_taylor_input(self):
         r = augmented_realization((0.4, -0.3, 0.2, 0.5, 1.7))
-        u = ControlSignal.from_taylor(
-            [[0.3, -1.2, 4.0, 0.5, -7.0, 2.0, 11.0], [1.1, 0.2, -3.0, 6.5, 0.1, -9.0, 3.0]],
-            horizon=0.02,
+        u = TaylorOutput(
+            [[0.3, -1.2, 4.0, 0.5, -7.0, 2.0, 11.0], [1.1, 0.2, -3.0, 6.5, 0.1, -9.0, 3.0]]
         )
         assert_same_trajectory(r, u, 0.02, 80)
 
     def test_sampled_input(self):
         r = car_realization((0.0, 0.0, 0.1, 0.2))
         times = np.linspace(0.0, 0.3, 13)  # sample points fall between stage times
-        u = ControlSignal.from_samples(times, [1.0 + np.sin(times), 0.3 * np.cos(5.0 * times)])
+        u = SampledInput(times, [1.0 + np.sin(times), 0.3 * np.cos(5.0 * times)])
         assert_same_trajectory(r, u, 0.3, 50)
 
     def test_drift_only_realization(self):
@@ -332,7 +312,7 @@ class TestRk4AgainstLiteral:
         # mix in the last bit
         rng = np.random.default_rng(seed)
         r = every_node_kind(rng, rng.uniform(-0.5, 0.5, size=3))
-        u = ControlSignal.from_taylor(list(rng.normal(size=(2, 4))), horizon=0.2)
+        u = TaylorOutput(list(rng.normal(size=(2, 4))))
         got = rk4_simulate(r, u, 0.2, 40)
         want = literal_rk4_simulate(r, u, 0.2, 40)
         assert np.array_equal(got.times, want.times)
@@ -377,7 +357,7 @@ class TestSimulation:
     def test_car_against_fliess_series(self):
         init = (0.0, 0.0, 0.0, 0.2)
         r = car_realization(init)
-        u = ControlSignal.constant([1.0, 0.3], horizon=0.1)
+        u = TaylorOutput([[1.0], [0.3]])
         traj = rk4_simulate(r, u, 0.1, 200)
         c = generating_series(r, 6)
         grid = uniform_grid(0.1, density=2000)
@@ -396,7 +376,7 @@ class TestSimulation:
 
     def test_csv_round_trip(self, tmp_path):
         r = double_integrator(0.0, 1.0)
-        u = ControlSignal.constant([0.0], horizon=1.0)
+        u = TaylorOutput([[0.0]])
         traj = rk4_simulate(r, u, 1.0, 10)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
@@ -463,6 +443,23 @@ class TestTaylorOutputs:
         assert np.max(np.abs(jets[:, :7])) <= 1e-7 * scale
         assert np.max(np.abs(composed[:, :7] - jets[:, :7])) <= 1e-7 * scale
         assert np.max(np.abs(composed - jets)) <= 1e-12 * np.max(np.abs(c_u.coeffs))
+
+    def test_one_jet_tape_per_realization(self, monkeypatch):
+        built = []
+
+        class CountingJetTape(se.JetTape):
+            def __init__(self, exprs, n_vars):
+                built.append(exprs)
+                super().__init__(exprs, n_vars)
+
+        monkeypatch.setattr(se, "JetTape", CountingJetTape)
+        # fields no other test builds, so their tape is not cached yet
+        z1 = se.var(0)
+        r = Realization([[0.625 * z1 * z1 + se.cos(z1)], [se.ONE]], [se.sin(z1)], (0.3,))
+        first = taylor_outputs(r, [[1.0, 2.0]], 6)
+        second = taylor_outputs(r, [[1.0, 2.0]], 6)
+        assert first.tolist() == second.tolist()
+        assert len(built) == 1
 
     def test_drift_only_exponential(self):
         # dz = z, y = z: y^(k)(0) = z0 for every k

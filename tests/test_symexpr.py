@@ -170,11 +170,12 @@ class TestSlotTape:
 def jets_along(exprs, state, degree):
     """Coefficients 0..degree of exprs along fixed polynomial state jets."""
     tape = se.JetTape(exprs, len(state))
+    jets = tape.fresh()
     for k in range(degree + 1):
         for s, coeffs in enumerate(state):
-            tape.jets[s].append(coeffs[k] if k < len(coeffs) else 0.0)
-        tape.step(k)
-    return [tape.jets[slot] for slot in tape.slots]
+            jets[s].append(coeffs[k] if k < len(coeffs) else 0.0)
+        tape.step(jets, k)
+    return [jets[slot] for slot in tape.slots]
 
 
 class TestJets:

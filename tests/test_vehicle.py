@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fliess.errors import SingularDecouplingError
-from fliess.realization import ControlSignal, rk4_simulate
+from fliess.inversion import TaylorOutput
+from fliess.realization import rk4_simulate
 from fliess.vehicle import (
     CarParams,
     SectionInit,
@@ -95,11 +96,11 @@ class TestDynamicExtension:
         z0 = (0.2, -0.1, 0.3, 0.1)
         horizon, steps = 0.8, 800
         orig = car_realization(z0)
-        u_orig = ControlSignal.from_monomial([[1.5, 0.6], [0.8]], horizon)
+        u_orig = TaylorOutput([[1.5, 0.6], [0.8, 0.0]])
         t_orig = rk4_simulate(orig, u_orig, horizon, steps)
 
         aug = augmented_realization(z0 + (1.5,))
-        u_aug = ControlSignal.from_monomial([[0.8], [0.6]], horizon)
+        u_aug = TaylorOutput([[0.8], [0.6]])
         t_aug = rk4_simulate(aug, u_aug, horizon, steps)
 
         assert np.max(np.abs(t_orig.outputs - t_aug.outputs)) < 1e-10
