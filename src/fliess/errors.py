@@ -54,7 +54,8 @@ class MatchingConditionError(InversionPreconditionError):
 
 
 class ConvergenceError(FliessError):
-    """A fixed-point computation failed to stabilize (signals an implementation fault)."""
+    """The group inverse's fixed point failed to stabilize, or a section's inputs
+    miss the reference at the identity gate (signals an implementation fault)."""
 
 
 class NonFiniteError(FliessError):

@@ -29,9 +29,11 @@ x0^a sh x0^b = C(a+b, a) x0^(a+b): the shuffle is a binomial
 convolution, the x0 prefix is a shift, the image of a word under o u
 follows the suffix recursion  x0.eta -> x0 (eta o u),
 x_j.eta -> x0 (u_j sh (eta o u)), and the shuffle inverse is a degree
-recursion on the constant term's inverse.  Degree k of a sweep's result
-depends only on degrees below k of its input, so degree + 1 sweeps
-from zero settle u; one more sweep checks that they did.
+recursion on the constant term's inverse.  The fixed point is
+triangular in the grading: degree k of every image, and so of C o u
+and w o u, reads only degrees below k of u.  One pass over the degrees
+therefore extends the images, forms degree k of C o u and w o u, and
+solves for u_k, with nothing to iterate.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import numpy as np
 from fliess import symexpr
 from fliess.composition import compose
 from fliess.errors import (
-    ConvergenceError,
     MapFormatError,
     MatchingConditionError,
     NoRelativeDegreeError,
@@ -234,15 +235,13 @@ class _ShiftMaps:
     w_i = (x0^r_i)^-1 (c_i - c_y,i), all truncated to the inversion
     degree.  Every word a target can hold, closed under suffixes, is
     numbered in word_key order: ``tails`` gives each word's tail and
-    ``groups`` lists, per word length and head letter, the words and
-    their tails.  ``read`` takes the plan-aligned values, with one zero
-    appended, to the entries: entry e lands at (``rows[e]``,
-    ``cols[e]``).  The entries from ``n_forced`` on are the drift words
-    of w, from which the reference coefficients (i, k) listed in
-    ``drift`` are subtracted; where the plan lacks such a word, the
-    entry reads the appended zero.  ``unit`` is the drift-only series 1,
-    the empty word's image under o u, and ``drift_letter`` the matrix of
-    v -> x0 v, the drift letter's step in every sweep.
+    ``groups`` lists, per head letter, the words and their tails.
+    ``read`` takes the plan-aligned values, with one zero appended, to
+    the entries: entry e lands at (``rows[e]``, ``cols[e]``).  The
+    entries from ``n_forced`` on are the drift words of w, from which
+    the reference coefficients (i, k) listed in ``drift`` are
+    subtracted; where the plan lacks such a word, the entry reads the
+    appended zero.
     """
 
     def __init__(self, plan, degree, orders):
@@ -278,104 +277,84 @@ class _ShiftMaps:
         groups = {}
         for u, w in enumerate(words):
             if w:
-                groups.setdefault((len(w), w[0]), []).append(u)
+                groups.setdefault(w[0], []).append(u)
         self.groups = [
             (head, np.array(us, dtype=np.intp), self.tails[us])
-            for (_, head), us in sorted(groups.items())
+            for head, us in sorted(groups.items())
         ]
         self.m = m
         self.degree = degree
         self.pascal = np.array(
             [[math.comb(n, k) for k in range(degree + 1)] for n in range(degree + 1)], dtype=float
         )
-        lag = np.subtract.outer(np.arange(degree), np.arange(degree))
-        self.lag = np.where(lag >= 0, lag, degree)  # index degree reads a padded zero
-        self.unit = np.zeros(degree + 1)
-        self.unit[0] = 1.0
-        self.drift_letter = _prefixed_shuffle(self, self.unit)
 
 
-class _DriftPlan:
-    """Everything a sweep needs that does not depend on u.
+def _graded_inverse(maps, values, refs, a0_inv):
+    """The drift-only fixed point u = -(C o u)^sh-1 sh (w o u), degree by degree.
 
     The words of the m*m series of C (row-major) and the m series of w
-    with |coefficient| > EPS, closed under suffixes, are numbered
+    with |coefficient| > EPS, closed under suffixes, are gathered from
+    the shift maps on this section's live words and numbered
     degree-then-lexicographically; ``weights`` holds the series as rows
-    over that numbering.  ``steps`` lists, per word length and head
-    letter, the numbers of the words and of their tails, so each word's
-    image is its tail's image times the head letter's matrix.  Both are
-    gathered from the shift maps on this section's live words: the
-    column set decides the rounding of ``weights @ images``.  ``maps``
-    keeps the shift maps for the degree and the drift letter's matrix.
+    over that numbering, so the column set, which decides the rounding
+    of ``weights @ images[k]``, follows the live support.  At degree k
+    every live word's image under o u gains its degree-k coefficient
+    from degrees below k (x0.eta copies eta's degree k-1, x_j.eta takes
+    sum_b C(k-1, b) u_j[k-1-b] eta[b]), one product gives degree k of
+    C o u and of w o u, and u_k solves the shuffle equation's degree-k
+    row through the constant term's inverse a0_inv.
     """
-
-    def __init__(self, maps, values, refs, a0_inv):
-        coeffs = np.array(maps.read(values + (0.0,)))  # the missing word reads the zero
-        coeffs[np.abs(coeffs) <= EPS] = 0.0
-        drift = coeffs[maps.n_forced :]
-        drift -= refs
-        drift[np.abs(drift) <= EPS] = 0.0
-        kept = coeffs != 0.0
-        live = np.zeros(maps.n_words, dtype=bool)
-        live[maps.cols[kept]] = True
-        for length in range(len(maps.bounds) - 2, 0, -1):
-            lo, hi = maps.bounds[length], maps.bounds[length + 1]
-            live[maps.tails[lo:hi][live[lo:hi]]] = True
-        number = np.cumsum(live) - 1
-        self.weights = np.zeros((maps.m * (maps.m + 1), np.count_nonzero(live)))
-        self.weights[maps.rows[kept], number[maps.cols[kept]]] = coeffs[kept]
-        self.steps = []
-        for head, words, tails in maps.groups:
-            on = live[words]
-            if on.any():
-                self.steps.append((head, number[words[on]], number[tails[on]]))
-        self.maps = maps
-        self.a0_inv = a0_inv
-
-
-def _prefixed_shuffle(maps, a):
-    """Matrix of v -> x0 (a sh v) acting on coefficient rows (v @ matrix)."""
-    n = maps.degree
-    toeplitz = np.append(a[:n], 0.0)[maps.lag]  # toeplitz[j, k] = a[j - k]
-    out = np.zeros((n + 1, n + 1))
-    out[:n, 1:] = (maps.pascal[:n, :n] * toeplitz).T
-    return out
-
-
-def _drift_sweep(plan, u):
-    """One fixed-point sweep u -> -(C o u)^sh-1 sh (w o u)."""
-    maps = plan.maps
-    m, n = maps.m, maps.degree
-    letters = [maps.drift_letter] + [_prefixed_shuffle(maps, u_j) for u_j in u]
-    images = np.zeros((plan.weights.shape[1], n + 1))
-    images[0] = maps.unit  # the empty word sorts first
-    for head, rows, tails in plan.steps:
-        images[rows] = images[tails] @ letters[head]
-    composed = plan.weights @ images
-    c_u = composed[: m * m].reshape(m, m, n + 1)
-    w_u = composed[m * m :]
-    # solve (C o u) sh z = w o u degree by degree; u = -z
-    z = np.zeros((m, n + 1))
+    coeffs = np.array(maps.read(values + (0.0,)))  # the missing word reads the zero
+    coeffs[np.abs(coeffs) <= EPS] = 0.0
+    drift = coeffs[maps.n_forced :]
+    drift -= refs
+    drift[np.abs(drift) <= EPS] = 0.0
+    kept = coeffs != 0.0
+    live = np.zeros(maps.n_words, dtype=bool)
+    live[maps.cols[kept]] = True
+    for length in range(len(maps.bounds) - 2, 0, -1):
+        lo, hi = maps.bounds[length], maps.bounds[length + 1]
+        live[maps.tails[lo:hi][live[lo:hi]]] = True
+    number = np.cumsum(live) - 1
+    weights = np.zeros((maps.m * (maps.m + 1), np.count_nonzero(live)))
+    weights[maps.rows[kept], number[maps.cols[kept]]] = coeffs[kept]
+    steps = [
+        (head, number[words[live[words]]], number[tails[live[words]]])
+        for head, words, tails in maps.groups
+        if live[words].any()
+    ]
+    m, n, pascal = maps.m, maps.degree, maps.pascal
+    images = np.zeros((n + 1, weights.shape[1]))
+    images[0, 0] = 1.0  # the empty word sorts first, and its image is 1
+    c_u = np.zeros((n + 1, m, m))
+    u = np.zeros((m, n + 1))
     for k in range(n + 1):
-        acc = w_u[:, k].copy()
+        for head, rows, tails in steps if k > 0 else ():  # degree 0 is the unit alone
+            if head == 0:
+                images[k, rows] = images[k - 1, tails]
+            else:
+                images[k, rows] = (pascal[k - 1, :k] * u[head - 1, k - 1 :: -1]) @ images[:k, tails]
+        composed = weights @ images[k]
+        c_u[k] = composed[: m * m].reshape(m, m)
+        acc = composed[m * m :]  # degree k of w o u
         for j in range(1, k + 1):
-            acc -= maps.pascal[k, j] * (c_u[:, :, j] @ z[:, k - j])
-        z[:, k] = plan.a0_inv @ acc
-    return -z
+            acc += pascal[k, j] * (c_u[j] @ u[:, k - j])
+        u[:, k] = -(a0_inv @ acc)
+    return u
 
 
-def left_invert(c, c_y, degree, matching_tol=MATCHING_TOL):
+def left_invert(c, c_y, degree):
     """Invert the plant series against a reference output expansion.
 
     c: VectorSeries with m components over m+1 letters, truncated to at
     least degree + max(r).  c_y: TaylorOutput with m channels.  Returns
     the input expansions as a TaylorOutput with coefficients 0..degree:
-    the natural part of the group inverse of C^sh-1 sh w, computed as
-    the drift-only fixed point described in the module docstring.
-    Reads c through its table plan and plan-aligned values: a
-    generating series carries them, any other series gets a plan read
-    off its terms.  Raises NonFiniteError when that expansion
-    overflows.
+    the natural part of the group inverse of C^sh-1 sh w, solved as the
+    drift-only fixed point in one pass over the degrees (see the module
+    docstring).  Reads c through its table plan and plan-aligned
+    values: a generating series carries them, any other series gets a
+    plan read off its terms.  Raises NonFiniteError for a non-finite
+    reference coefficient and when the input expansion overflows.
     """
     c = planned(c)
     plan, values = c.plan, c.values
@@ -386,34 +365,32 @@ def left_invert(c, c_y, degree, matching_tol=MATCHING_TOL):
         )
     if c_y.n_channels != m:
         raise ValueError(f"reference has {c_y.n_channels} channels, plant has {m} outputs")
+    if degree < 0:
+        raise ValueError(f"inversion degree must be non-negative, got {degree}")
+    if not np.all(np.isfinite(c_y.coeffs)):  # NaN would pass the matching comparison
+        raise NonFiniteError("reference expansion has non-finite coefficients")
     rd = relative_degree(c)
     rmax = max(rd.orders)
     if plan.degree < degree + rmax:
         raise ValueError(
             f"plant series degree {plan.degree} too low: need degree+max(r) = {degree + rmax}"
         )
+    reference = c_y.padded(plan.degree)
     for i, r in enumerate(rd.orders):
-        ref = c_y.coeffs[i]
         for k in range(r):
             have = _coeff(plan, values, i, drift_word(k))
-            want = ref[k] if k < ref.size else 0.0
-            if abs(have - want) > matching_tol:
-                raise MatchingConditionError(i, k, have, want, matching_tol)
+            want = float(reference[i, k])
+            if abs(have - want) > MATCHING_TOL:
+                raise MatchingConditionError(i, k, have, want, MATCHING_TOL)
     orders = tuple(rd.orders)
     maps = plan.derive(("shift", degree, orders), lambda p: _ShiftMaps(p, degree, orders))
-    channels = [c_y.channel(i, plan.alphabet_size, plan.degree) for i in range(m)]
-    refs = np.array([channels[i].coeff(drift_word(k)) for i, k in maps.drift])
-    drift = _DriftPlan(maps, values, refs, constant_term_inverse(rd.decoupling))
-    u = np.zeros((m, degree + 1))
+    reference[np.abs(reference) <= EPS] = 0.0
+    refs = np.array([reference[i, k] for i, k in maps.drift])
+    a0_inv = constant_term_inverse(rd.decoupling)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        for _ in range(degree + 1):
-            u = _drift_sweep(drift, u)
-        again = _drift_sweep(drift, u)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(again))):
+        u = _graded_inverse(maps, values, refs, a0_inv)
+    if not np.all(np.isfinite(u)):
         raise NonFiniteError("input expansion has non-finite coefficients")
-    scale = 1.0 + max(np.max(np.abs(u)), np.max(np.abs(again)))
-    if np.max(np.abs(u - again)) > 1e-9 * scale:
-        raise ConvergenceError("drift-only fixed point did not stabilize within degree+1 sweeps")
     return TaylorOutput(list(u))
 
 

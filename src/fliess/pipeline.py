@@ -54,7 +54,6 @@ class PipelineConfig:
     samples_per_section: int = 12
     initial_heading: float = None
     arrival_tol: float = 0.2
-    matching_tol: float = 1e-9
 
     @property
     def section_duration(self):
@@ -74,6 +73,10 @@ class PipelineConfig:
             raise ValueError("need at least one RK4 step per section")
         if self.handoff not in ("measured", "planned"):
             raise ValueError(f"unknown handoff mode {self.handoff!r}")
+        if self.branch not in ("auto", "positive", "negative"):
+            raise ValueError(f"unknown branch {self.branch!r}")
+        if not 0.0 <= self.arrival_tol < math.inf:
+            raise ValueError("arrival tolerance must be non-negative and finite")
         return self
 
     def to_json_dict(self):
@@ -122,7 +125,7 @@ def run_section(section, init, cfg, state_jump=None):
     realization = augmented_realization(init, cfg.params)
     c = generating_series(realization, cfg.series_degree)
     c_y = section.taylor_output(constants=(init.z1, init.z2))
-    c_u = left_invert(c, c_y, cfg.inversion_degree, matching_tol=cfg.matching_tol)
+    c_u = left_invert(c, c_y, cfg.inversion_degree)
 
     trajectory = rk4_simulate(realization, c_u, section.duration, cfg.rk4_steps)
 

@@ -367,8 +367,14 @@ def rrt_plan(
     goal_bias), extends the nearest node by at most step with a
     collision-checked segment, and finishes when the goal is reachable
     within step of a new node.  Raises PlanningError when max_iters
-    extensions never reach the goal.
+    extensions never reach the goal, and up front for a step that is
+    not positive and finite, a goal bias outside [0, 1] or a bad margin.
     """
+    if not 0.0 < step < math.inf:
+        raise PlanningError(f"RRT step must be positive and finite, got {step}")
+    if not 0.0 <= goal_bias <= 1.0:
+        raise PlanningError(f"goal bias must lie in [0, 1], got {goal_bias}")
+    _check_margin(margin)
     obstacle_map.validate(margin)
     rng = np.random.default_rng(seed)
     xmin, ymin, xmax, ymax = obstacle_map.bounds
@@ -425,6 +431,11 @@ def extract_path(tree):
     return path
 
 
+def _check_margin(margin):
+    if not 0.0 <= margin < math.inf:
+        raise PlanningError(f"margin must be non-negative and finite, got {margin}")
+
+
 def smooth_path(path, obstacle_map, seed=0, passes=200, margin=0.0):
     """Seeded shortcut smoothing; endpoints are preserved.
 
@@ -432,6 +443,7 @@ def smooth_path(path, obstacle_map, seed=0, passes=200, margin=0.0):
     straight segment when that segment is collision-free, so the
     result stays collision-free by construction.
     """
+    _check_margin(margin)
     pts = [tuple(p) for p in path]
     if len(pts) < 3:
         return pts
@@ -624,6 +636,10 @@ def fit_spline(
         raise SplineFitError("need at least one section")
     if not 0.0 < total_time < math.inf:
         raise SplineFitError("total time must be positive and finite")
+    if samples_per_section < 1:
+        raise SplineFitError("need at least one fit sample per section")
+    if initial_heading is not None and not math.isfinite(initial_heading):
+        raise SplineFitError(f"initial heading must be finite, got {initial_heading}")
     duration = total_time / sections
     n_samples = sections * samples_per_section + 1
     resampled = _resample_arclength(path, n_samples)

@@ -519,7 +519,9 @@ def _shuffle_words(u, v):
         return {v: 1}
     if not v:
         return {u: 1}
-    key = (u, v) if u <= v else (v, u)
+    if v < u:  # build each entry in one orientation, whichever caller comes first
+        u, v = v, u
+    key = (u, v)
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         return hit

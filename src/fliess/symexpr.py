@@ -31,18 +31,35 @@ _IDS = itertools.count()
 CONST, VAR, ADD, MUL, DIV, POW, SIN, COS, TAN = (
     "const", "var", "add", "mul", "div", "pow", "sin", "cos", "tan",
 )
+# kinds as integers for the sort key: the hash of a string is salted
+# per process (PYTHONHASHSEED), the hash of an int or float is not
+_CODES = {k: c for c, k in enumerate((CONST, VAR, ADD, MUL, DIV, POW, SIN, COS, TAN))}
 
 
 class Expr:
-    """Interned immutable expression node; build through the module constructors."""
+    """Interned immutable expression node; build through the module constructors.
 
-    __slots__ = ("kind", "value", "args", "_id")
+    ``key`` orders the arguments of sums and products.  It depends on
+    the node's structure only, never on what the process built before:
+    a hash of the kind's code, the value and the arguments' hashes, then
+    the code, the value and the arguments themselves, so two nodes whose
+    hashes collide still compare by structure.
+    """
+
+    __slots__ = ("kind", "value", "args", "_id", "key")
 
     def __init__(self, kind, value, args, _id):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "_id", _id)
+        code = _CODES[kind]
+        value = 0 if value is None else value  # hash(None) follows its address
+        digest = hash((code, value) + tuple(a.key[0] for a in args))
+        object.__setattr__(self, "key", (digest, code, value, args))
+
+    def __lt__(self, other):
+        return self.key < other.key
 
     def __setattr__(self, name, val):
         raise AttributeError("Expr nodes are immutable")
@@ -92,6 +109,10 @@ def _intern(kind, value, args):
         return hit
     node = Expr(kind, value, args, next(_IDS))
     return _TABLE.setdefault(key, node)
+
+
+def _sort_key(node):
+    return node.key
 
 
 def _coerce(x):
@@ -158,7 +179,7 @@ def add(*xs):
         return ZERO
     if len(terms) == 1:
         return terms[0]
-    terms.sort(key=lambda n: n._id)
+    terms.sort(key=_sort_key)
     return _intern(ADD, None, tuple(terms))
 
 
@@ -204,7 +225,7 @@ def mul(*xs):
         factors.append(const(acc))
     if len(factors) == 1:
         return factors[0]
-    factors.sort(key=lambda n: n._id)
+    factors.sort(key=_sort_key)
     return _intern(MUL, None, tuple(factors))
 
 
@@ -708,7 +729,9 @@ def to_text(e):
             s = "+".join(render(a, 1) for a in node.args).replace("+-", "-")
             return f"({s})" if parent_prec > 1 else s
         if k == MUL:
-            s = "*".join(render(a, 2) for a in node.args)
+            # a quotient factor keeps its parentheses: bare after another
+            # factor, z3*z1/z2 would parse back as (z3*z1)/z2, another node
+            s = "*".join(render(a, 3 if a.kind == DIV else 2) for a in node.args)
             return f"({s})" if parent_prec > 2 else s
         if k == DIV:
             num = render(node.args[0], 2)

@@ -16,7 +16,6 @@ from fliess import (
     shuffle_inverse,
 )
 from fliess.errors import (
-    ConvergenceError,
     MapFormatError,
     MatchingConditionError,
     NoRelativeDegreeError,
@@ -137,6 +136,8 @@ class TestLeftInvert:
         y = TaylorOutput([[0.3, -1.2, 1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             left_invert(c, y, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            left_invert(c, y, -1)
 
     def test_nonsquare_plant_rejected(self):
         c = VectorSeries([Series(3, 6, {(0, 1): 1.0, (): 1.0})])
@@ -231,7 +232,7 @@ def random_square_plant(rng, orders, degree, decoupling=None, n_forced=10):
 class TestDriftOnlyInversion:
     @settings(max_examples=40, deadline=None)
     @given(
-        orders=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        orders=st.lists(st.integers(1, 3), min_size=1, max_size=3),
         degree=st.integers(0, 4),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -272,25 +273,22 @@ class TestDriftOnlyInversion:
         with pytest.raises(SingularConstantTermError):
             constant_term_inverse(np.zeros((2, 2)))
 
-    def test_unsettled_fixed_point_raises(self, rng, monkeypatch):
-        c, c_y = random_square_plant(rng, [2, 1], 3)
-        sweep = fliess.inversion._drift_sweep
-        calls = []
-
-        def drifting(plan, u):
-            calls.append(1)
-            return sweep(plan, u) + len(calls)
-
-        monkeypatch.setattr(fliess.inversion, "_drift_sweep", drifting)
-        with pytest.raises(ConvergenceError):
-            left_invert(c, c_y, 3)
-
     def test_overflow_raises_non_finite(self):
         # u = -w / a with w = -1e300 and a = 1e-10 overflows
         c = VectorSeries([Series(2, 3, {(1,): 1e-10})])
         c_y = TaylorOutput([[0.0, 1e300, 0.0, 0.0]])
         with pytest.raises(NonFiniteError):
             left_invert(c, c_y, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_non_finite_reference_raises(self, rng, bad, order):
+        # order 0 is a matching condition, where NaN compares as a match;
+        # order 3 lies past r = 2 and enters w
+        c, c_y = random_square_plant(rng, [2, 1], 3)
+        c_y.coeffs[0][order] = bad
+        with pytest.raises(NonFiniteError):
+            left_invert(c, c_y, 3)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
 
 import numpy as np
@@ -86,6 +89,11 @@ class TestConfig:
             PipelineConfig(handoff="psychic").validate()
         with pytest.raises(ValueError):
             PipelineConfig(rk4_steps=0).validate()
+        with pytest.raises(ValueError, match="unknown branch"):
+            PipelineConfig(branch="sideways").validate()
+        for arrival_tol in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="arrival tolerance"):
+                PipelineConfig(arrival_tol=arrival_tol).validate()
 
     def test_json_dict(self):
         doc = PipelineConfig().to_json_dict()
@@ -264,6 +272,75 @@ class TestRunPipeline:
             typing.get_type_hints(cls)
 
 
+class TestDiscreteFields:
+    """The artifact protocol's discrete fields at degree 6/4 on the planner seeds.
+
+    A change that moves the numbers at the rounding level must leave
+    these alone: the run is collision-free and arrives, has 50
+    sections, and every section starts on the positive-speed branch.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 42])
+    def test_safe_arrival_on_the_positive_branch(self, seed):
+        report = run_pipeline(bundled_map(), PipelineConfig(series_degree=6, inversion_degree=4, seed=seed))
+        assert report.collision_free and report.arrived
+        assert len(report.sections) == 50
+        assert all(r.init.z5 > 0.0 for r in report.sections)
+
+
+HISTORY_PROBE = """
+import hashlib, json, os, sys
+from fliess import PipelineConfig, bundled_map, compose, generating_series, run_pipeline
+from fliess.series import Series, VectorSeries, shuffle
+from fliess.vehicle import augmented_realization, car_realization
+
+a = Series(3, 6, {(1, 0): 0.5, (0, 2, 1): -1.25, (2,): 2.0, (0,): 0.3})
+b = Series(3, 6, {(2, 1): 1.5, (0,): 0.75, (1, 1, 0): -0.5, (1,): 0.2})
+if sys.argv[1] == "polluted":
+    # other interned nodes first, and every word pair in both orientations
+    generating_series(car_realization((0, 0, 0, 0.1)), 7)
+    for x in (a, b):
+        for y in (a, b):
+            shuffle(y, x, 6)
+out = {}
+for seed in (1, 42):
+    outdir = os.path.join(sys.argv[2], str(seed))
+    run_pipeline(bundled_map(), PipelineConfig(series_degree=6, inversion_degree=4, seed=seed), outdir=outdir)
+    with open(os.path.join(outdir, "report.json"), "rb") as fh:
+        out[f"report.json {seed}"] = hashlib.sha256(fh.read()).hexdigest()
+c = generating_series(augmented_realization((0.3, -0.5, 0.2, 0.4, 1.6)), 6)
+out["generating_series"] = repr([list(comp.terms_dict().items()) for comp in c])
+out["compose"] = repr([list(comp.terms_dict().items()) for comp in compose(c, VectorSeries([a, b]), 6)])
+print(json.dumps(out))
+"""
+
+
+class TestHistoryIndependence:
+    """Numbers do not depend on what the process built before, nor on its hash seed."""
+
+    def probe(self, tmp_path, mode, hash_seed):
+        src = os.path.dirname(os.path.dirname(fliess.__file__))
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        outdir = tmp_path / mode
+        done = subprocess.run(
+            [sys.executable, "-c", HISTORY_PROBE, mode, str(outdir)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        return json.loads(done.stdout)
+
+    def test_fresh_and_polluted_processes_agree(self, tmp_path):
+        fresh = self.probe(tmp_path, "fresh", 0)
+        polluted = self.probe(tmp_path, "polluted", 1)
+        assert fresh.keys() == polluted.keys()
+        for key in fresh:
+            assert fresh[key] == polluted[key], key
+
+
 class TestCli:
     def run_ok(self, argv):
         assert main(argv) == 0
@@ -384,6 +461,39 @@ class TestCli:
             assert main(argv + ["--steps", "0"]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,extra,code,message",
+        [
+            ("pipeline", ["--samples", "0"], 2, "at least one fit sample per section"),
+            ("pipeline", ["--samples", "-3"], 2, "at least one fit sample per section"),
+            ("pipeline", ["--initial-heading", "nan"], 2, "initial heading must be finite"),
+            ("pipeline", ["--step", "nan"], 2, "RRT step must be positive and finite"),
+            ("pipeline", ["--goal-bias", "nan"], 2, "goal bias must lie in [0, 1]"),
+            ("pipeline", ["--margin", "nan"], 2, "margin must be non-negative and finite"),
+            ("pipeline", ["--arrival-tol", "nan"], 1, "arrival tolerance must be non-negative"),
+            ("pipeline", ["--arrival-tol", "-1"], 1, "arrival tolerance must be non-negative"),
+            ("plan", ["--step", "0"], 2, "RRT step must be positive and finite"),
+            ("plan", ["--step", "inf"], 2, "RRT step must be positive and finite"),
+            ("plan", ["--goal-bias", "1.5"], 2, "goal bias must lie in [0, 1]"),
+            ("plan", ["--margin", "-1"], 2, "margin must be non-negative and finite"),
+            ("spline", ["--samples", "0"], 2, "at least one fit sample per section"),
+            ("spline", ["--initial-heading", "inf"], 2, "initial heading must be finite"),
+        ],
+    )
+    def test_bad_planner_inputs_fail_up_front(self, tmp_path, capsys, command, extra, code, message):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"points": [[0.0, 0.0], [2.0, 0.0]]}))
+        argv = {
+            "pipeline": ["--outdir", str(tmp_path / "run"), "--sections", "4"]
+            + ["--series-degree", "6", "--inversion-degree", "4"],
+            "plan": ["--out", str(tmp_path / "o")],
+            "spline": ["--path", str(path), "--sections", "1", "--out", str(tmp_path / "o")],
+        }[command]
+        assert main([command] + argv + extra) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists() and not (tmp_path / "run").exists()
 
     def test_series_ops(self, tmp_path):
         a = tmp_path / "a.json"

@@ -264,11 +264,22 @@ class TestText:
                 )
 
     def test_rendering_is_stable_after_one_reparse(self):
-        # term order can depend on construction history, but render/parse
-        # must reach a fixed point after a single round trip
         z = [se.var(i) for i in range(3)]
         t1 = se.to_text(se.parse_expr(se.to_text(gnarly(*z)), 3))
         assert se.to_text(se.parse_expr(t1, 3)) == t1
+
+    def test_text_parses_back_to_the_same_node(self):
+        # argument order is structural, and a quotient factor of a
+        # product keeps its parentheses, so the text names the node
+        z = [se.var(i) for i in range(3)]
+        cases = [
+            gnarly(*z),
+            z[0] - (z[1] - z[2]),
+            se.mul(z[2], se.div(z[0], z[1])),
+            se.mul(se.div(z[0], z[1]), se.div(z[2], z[0] + 1.0), z[1]),
+        ]
+        for e in cases:
+            assert se.parse_expr(se.to_text(e), 3) is e
 
     def test_one_based_variables(self):
         e = se.parse_expr("z1 + 2*z3", 3)
