@@ -53,7 +53,6 @@ from fliess.planner import (
     load_spline,
     rrt_plan,
     save_map,
-    smooth_and_spline,
     smooth_path,
 )
 from fliess.realization import (
@@ -152,7 +151,6 @@ __all__ = [
     "shuffle",
     "shuffle_inverse",
     "shuffle_power",
-    "smooth_and_spline",
     "smooth_path",
     "solve_first_order_match",
     "taylor_outputs",

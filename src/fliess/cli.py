@@ -8,6 +8,7 @@ coefficient.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -30,10 +31,11 @@ from fliess.pipeline import PipelineConfig, run_pipeline
 from fliess.planner import (
     bundled_map,
     extract_path,
+    fit_spline,
     load_map,
     load_spline,
     rrt_plan,
-    smooth_and_spline,
+    smooth_path,
 )
 from fliess.realization import Trajectory, rk4_simulate
 from fliess.series import (
@@ -49,6 +51,9 @@ from fliess.series import (
 from fliess.vehicle import CarParams, SectionInit, augmented_realization
 
 
+_CONFIG = PipelineConfig()
+
+
 def _map_from_args(args):
     return load_map(args.map) if args.map else bundled_map()
 
@@ -58,17 +63,22 @@ def _car_params(args):
 
 
 def _add_car_args(p):
-    p.add_argument("--length", type=float, default=1.0, help="axle distance")
-    p.add_argument("--k", type=float, default=-0.7, help="rear-steer gain")
+    p.add_argument("--length", type=float, default=_CONFIG.params.length, help="axle distance")
+    p.add_argument("--k", type=float, default=_CONFIG.params.k, help="rear-steer gain")
+
+
+def _add_config_arg(p, flag, name, **kwargs):
+    """An option that sets the PipelineConfig field name, with its default."""
+    p.add_argument(flag, dest=name, default=getattr(_CONFIG, name), **kwargs)
 
 
 def cmd_plan(args):
     m = _map_from_args(args)
     tree = rrt_plan(
         m,
-        step=args.step,
-        goal_bias=args.goal_bias,
-        max_iters=args.max_iters,
+        step=args.rrt_step,
+        goal_bias=args.rrt_goal_bias,
+        max_iters=args.rrt_max_iters,
         seed=args.seed,
         margin=args.margin,
     )
@@ -81,19 +91,20 @@ def cmd_spline(args):
     doc = load_json_document(args.path)
     with decoding("path", doc):
         points = [tuple(float(v) for v in p) for p in doc["points"]]
-    obstacle_map = load_map(args.map) if args.map else None
-    spline = smooth_and_spline(
+    params = _car_params(args)
+    if args.map:
+        obstacle_map = load_map(args.map)
+        points = smooth_path(
+            points, obstacle_map, seed=args.seed, passes=args.smoothing_passes, margin=args.margin
+        )
+    spline = fit_spline(
         points,
         args.sections,
         total_time=args.total_time,
-        obstacle_map=obstacle_map,
-        seed=args.seed,
-        passes=args.passes,
-        margin=args.margin,
-        samples_per_section=args.samples,
+        samples_per_section=args.samples_per_section,
         initial_heading=args.initial_heading,
         branch=args.branch,
-        params=_car_params(args),
+        params=params,
     )
     dump_json(spline, args.out)
     print(f"fitted {spline.n_sections} sections over {spline.total_time:g} time units")
@@ -108,7 +119,7 @@ def cmd_invert(args):
     for section in spline.sections:
         realization = augmented_realization(section.init, params)
         c = generating_series(realization, args.series_degree)
-        c_u = left_invert(c, section.taylor_output(), args.degree)
+        c_u = left_invert(c, section.taylor_output(), args.inversion_degree)
         out_sections.append(
             {
                 "duration": section.duration,
@@ -119,13 +130,13 @@ def cmd_invert(args):
         )
     dump_json(
         {
-            "degree": args.degree,
+            "degree": args.inversion_degree,
             "params": {"L": params.length, "k": params.k},
             "sections": out_sections,
         },
         args.out,
     )
-    print(f"inverted {len(out_sections)} sections at degree {args.degree}")
+    print(f"inverted {len(out_sections)} sections at degree {args.inversion_degree}")
 
 
 def cmd_simulate(args):
@@ -138,7 +149,7 @@ def cmd_simulate(args):
             duration = float(entry["duration"])
             u = TaylorOutput([entry["steering_rate"], entry["speed_rate"]])
             sections.append((augmented_realization(init, params), u, duration))
-    pieces = [rk4_simulate(r, u, duration, args.steps) for r, u, duration in sections]
+    pieces = [rk4_simulate(r, u, duration, args.rk4_steps) for r, u, duration in sections]
     combined = Trajectory.concat(pieces)
     combined.to_csv(args.out)
     print(f"simulated {len(sections)} sections, {combined.times.size} samples")
@@ -146,25 +157,8 @@ def cmd_simulate(args):
 
 def cmd_pipeline(args):
     m = _map_from_args(args)
-    cfg = PipelineConfig(
-        series_degree=args.series_degree,
-        inversion_degree=args.inversion_degree,
-        sections=args.sections,
-        total_time=args.total_time,
-        seed=args.seed,
-        rk4_steps=args.steps,
-        params=_car_params(args),
-        handoff=args.handoff,
-        branch=args.branch,
-        rrt_step=args.step,
-        rrt_goal_bias=args.goal_bias,
-        rrt_max_iters=args.max_iters,
-        smoothing_passes=args.passes,
-        margin=args.margin,
-        samples_per_section=args.samples,
-        initial_heading=args.initial_heading,
-        arrival_tol=args.arrival_tol,
-    )
+    fields = [f.name for f in dataclasses.fields(PipelineConfig) if f.name != "params"]
+    cfg = PipelineConfig(params=_car_params(args), **{name: getattr(args, name) for name in fields})
     report = run_pipeline(m, cfg, outdir=args.outdir)
     s = report.summary_dict()
     print(f"sections: {s['sections']}")
@@ -247,31 +241,31 @@ def build_parser():
     p.add_argument("--map", help="map JSON (bundled demo map when omitted)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--step", type=float, default=0.75)
-    p.add_argument("--goal-bias", type=float, default=0.1)
-    p.add_argument("--max-iters", type=int, default=8000)
-    p.add_argument("--margin", type=float, default=0.0)
+    _add_config_arg(p, "--step", "rrt_step", type=float)
+    _add_config_arg(p, "--goal-bias", "rrt_goal_bias", type=float)
+    _add_config_arg(p, "--max-iters", "rrt_max_iters", type=int)
+    _add_config_arg(p, "--margin", "margin", type=float)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("spline", help="smooth a path and fit sectioned cubics")
     p.add_argument("--path", required=True, help="path JSON with a points array")
-    p.add_argument("--sections", type=int, default=50)
-    p.add_argument("--total-time", type=float, default=1.0)
+    _add_config_arg(p, "--sections", "sections", type=int)
+    _add_config_arg(p, "--total-time", "total_time", type=float)
     p.add_argument("--out", required=True)
     p.add_argument("--map", help="enables collision-checked shortcut smoothing")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--passes", type=int, default=200)
-    p.add_argument("--margin", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=12, help="fit samples per section")
-    p.add_argument("--initial-heading", type=float, default=None)
-    p.add_argument("--branch", choices=("auto", "positive", "negative"), default="auto")
+    _add_config_arg(p, "--passes", "smoothing_passes", type=int)
+    _add_config_arg(p, "--margin", "margin", type=float)
+    _add_config_arg(p, "--samples", "samples_per_section", type=int, help="fit samples per section")
+    _add_config_arg(p, "--initial-heading", "initial_heading", type=float)
+    _add_config_arg(p, "--branch", "branch", choices=("auto", "positive", "negative"))
     _add_car_args(p)
     p.set_defaults(func=cmd_spline)
 
     p = sub.add_parser("invert", help="per-section input synthesis from a spline")
     p.add_argument("--spline", required=True)
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--series-degree", type=int, default=8)
+    _add_config_arg(p, "--degree", "inversion_degree", type=int)
+    _add_config_arg(p, "--series-degree", "series_degree", type=int)
     p.add_argument("--out", required=True)
     _add_car_args(p)
     p.set_defaults(func=cmd_invert)
@@ -279,28 +273,28 @@ def build_parser():
     p = sub.add_parser("simulate", help="integrate synthesized inputs section by section")
     p.add_argument("--inputs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=80, help="RK4 steps per section")
+    _add_config_arg(p, "--steps", "rk4_steps", type=int, help="RK4 steps per section")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pipeline", help="full chain: plan, fit, invert, simulate, report")
     p.add_argument("--map", help="map JSON (bundled demo map when omitted)")
-    p.add_argument("--seed", type=int, default=42)
+    _add_config_arg(p, "--seed", "seed", type=int)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--sections", type=int, default=50)
-    p.add_argument("--total-time", type=float, default=1.0)
-    p.add_argument("--series-degree", type=int, default=8)
-    p.add_argument("--inversion-degree", type=int, default=6)
-    p.add_argument("--steps", type=int, default=80)
-    p.add_argument("--handoff", choices=("measured", "planned"), default="measured")
-    p.add_argument("--branch", choices=("auto", "positive", "negative"), default="auto")
-    p.add_argument("--step", type=float, default=0.75)
-    p.add_argument("--goal-bias", type=float, default=0.1)
-    p.add_argument("--max-iters", type=int, default=8000)
-    p.add_argument("--passes", type=int, default=200)
-    p.add_argument("--margin", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=12)
-    p.add_argument("--initial-heading", type=float, default=None)
-    p.add_argument("--arrival-tol", type=float, default=0.2)
+    _add_config_arg(p, "--sections", "sections", type=int)
+    _add_config_arg(p, "--total-time", "total_time", type=float)
+    _add_config_arg(p, "--series-degree", "series_degree", type=int)
+    _add_config_arg(p, "--inversion-degree", "inversion_degree", type=int)
+    _add_config_arg(p, "--steps", "rk4_steps", type=int)
+    _add_config_arg(p, "--handoff", "handoff", choices=("measured", "planned"))
+    _add_config_arg(p, "--branch", "branch", choices=("auto", "positive", "negative"))
+    _add_config_arg(p, "--step", "rrt_step", type=float)
+    _add_config_arg(p, "--goal-bias", "rrt_goal_bias", type=float)
+    _add_config_arg(p, "--max-iters", "rrt_max_iters", type=int)
+    _add_config_arg(p, "--passes", "smoothing_passes", type=int)
+    _add_config_arg(p, "--margin", "margin", type=float)
+    _add_config_arg(p, "--samples", "samples_per_section", type=int)
+    _add_config_arg(p, "--initial-heading", "initial_heading", type=float)
+    _add_config_arg(p, "--arrival-tol", "arrival_tol", type=float)
     _add_car_args(p)
     p.set_defaults(func=cmd_pipeline)
 

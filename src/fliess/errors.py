@@ -83,7 +83,7 @@ class SplineFitError(FliessError):
 
 
 class MapFormatError(FliessError, ValueError):
-    """Malformed obstacle-map, path, or spline document."""
+    """Malformed obstacle-map, path, spline or inputs document, or out-of-range car parameters."""
 
 
 @contextmanager

@@ -368,12 +368,15 @@ def rrt_plan(
     collision-checked segment, and finishes when the goal is reachable
     within step of a new node.  Raises PlanningError when max_iters
     extensions never reach the goal, and up front for a step that is
-    not positive and finite, a goal bias outside [0, 1] or a bad margin.
+    not positive and finite, a goal bias outside [0, 1], a negative
+    max_iters or a bad margin.
     """
     if not 0.0 < step < math.inf:
         raise PlanningError(f"RRT step must be positive and finite, got {step}")
     if not 0.0 <= goal_bias <= 1.0:
         raise PlanningError(f"goal bias must lie in [0, 1], got {goal_bias}")
+    if max_iters < 0:
+        raise PlanningError(f"max iterations must be non-negative, got {max_iters}")
     _check_margin(margin)
     obstacle_map.validate(margin)
     rng = np.random.default_rng(seed)
@@ -561,10 +564,7 @@ class PathSpline:
         pts = []
         for i, s in enumerate(self.sections):
             ts = np.linspace(0.0, s.duration, per_section + 1)
-            if i > 0:
-                ts = ts[1:]
-            for t in ts:
-                pts.append(tuple(s.value(t)))
+            pts.extend(zip(*s.value(ts[1:] if i > 0 else ts)))
         return pts
 
     def to_json_dict(self):
@@ -648,37 +648,33 @@ def fit_spline(
     prev_value = resampled[0]
     prev_slope = None
     dt = duration / samples_per_section
+    t = np.linspace(0.0, duration, samples_per_section + 1)
     # weighted end-slope data row: pinning only the start slope would let
     # slope error grow by ~1.3x per section, so each fit also targets the
     # polyline slope over the section's last sample interval
     w_end = 10.0 * duration * math.sqrt(samples_per_section + 1.0)
+    scale = np.array([duration, duration**2, duration**3])
+    # scaled columns of a1, a2, a3; a section solves for those it does not pin
+    design = np.vstack(
+        [
+            np.column_stack([t, t * t, t**3]),
+            [w_end, w_end * 2.0 * duration, w_end * 3.0 * duration * duration],
+        ]
+    ) / scale
     for j in range(sections):
         rows = slice(j * samples_per_section, (j + 1) * samples_per_section + 1)
         pts = resampled[rows]
-        t = np.linspace(0.0, duration, samples_per_section + 1)
-        T = duration
+        pinned = 1 if prev_slope is None else 2  # a0, and a1 after the first section
         poly_rows = []
         for ch in range(2):
             target = pts[:, ch]
             end_slope = (pts[-1, ch] - pts[-2, ch]) / dt
-            if prev_slope is None:
-                a0 = float(prev_value[ch])
-                design = np.column_stack([t, t * t, t ** 3])
-                design = np.vstack([design, [w_end * 1.0, w_end * 2.0 * T, w_end * 3.0 * T * T]])
-                rhs = np.concatenate([target - a0, [w_end * end_slope]])
-                scale = np.array([duration, duration**2, duration**3])
-                sol, *_ = np.linalg.lstsq(design / scale, rhs, rcond=None)
-                a1, a2, a3 = sol / scale
-            else:
-                a0 = float(prev_value[ch])
-                a1 = float(prev_slope[ch])
-                design = np.column_stack([t * t, t ** 3])
-                design = np.vstack([design, [w_end * 2.0 * T, w_end * 3.0 * T * T]])
-                rhs = np.concatenate([target - a0 - a1 * t, [w_end * (end_slope - a1)]])
-                scale = np.array([duration**2, duration**3])
-                sol, *_ = np.linalg.lstsq(design / scale, rhs, rcond=None)
-                a2, a3 = sol / scale
-            poly_rows.append((a0, float(a1), float(a2), float(a3)))
+            a0 = float(prev_value[ch])
+            a1 = 0.0 if prev_slope is None else float(prev_slope[ch])
+            rhs = np.concatenate([target - a0 - a1 * t, [w_end * (end_slope - a1)]])
+            sol, *_ = np.linalg.lstsq(design[:, pinned - 1 :], rhs, rcond=None)
+            free = tuple(float(a) for a in sol / scale[pinned - 1 :])
+            poly_rows.append((a0, a1)[:pinned] + free)
 
         slope0 = (poly_rows[0][1], poly_rows[1][1])
         if j == 0 and initial_heading is not None:
@@ -694,31 +690,3 @@ def fit_spline(
         prev_value = section.value(duration)
         prev_slope = section.derivative(duration)
     return PathSpline(tuple(built))
-
-
-def smooth_and_spline(
-    path,
-    sections,
-    total_time=1.0,
-    obstacle_map=None,
-    seed=0,
-    passes=200,
-    margin=0.0,
-    samples_per_section=12,
-    initial_heading=None,
-    branch="auto",
-    params=CarParams(),
-):
-    """Shortcut smoothing (when a map is supplied) followed by fit_spline."""
-    pts = [tuple(p) for p in path]
-    if obstacle_map is not None:
-        pts = smooth_path(pts, obstacle_map, seed=seed, passes=passes, margin=margin)
-    return fit_spline(
-        pts,
-        sections,
-        total_time=total_time,
-        samples_per_section=samples_per_section,
-        initial_heading=initial_heading,
-        branch=branch,
-        params=params,
-    )

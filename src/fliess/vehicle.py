@@ -35,17 +35,27 @@ import math
 from dataclasses import asdict, dataclass
 
 from fliess import symexpr
-from fliess.errors import SingularDecouplingError
+from fliess.errors import MapFormatError, SingularDecouplingError
 from fliess.realization import Realization
 from fliess.symexpr import cos, div, mul, sin, sub, var
 
 
 @dataclass(frozen=True)
 class CarParams:
-    """Geometry: axle distance L (pinned to 1 by default) and rear-steer gain k."""
+    """Geometry: axle distance L (pinned to 1 by default) and rear-steer gain k.
+
+    Raises MapFormatError for a length that is not positive and finite
+    or a gain that is not finite.
+    """
 
     length: float = 1.0
     k: float = -0.7
+
+    def __post_init__(self):
+        if not 0.0 < self.length < math.inf:
+            raise MapFormatError(f"car length must be positive and finite, got {self.length}")
+        if not math.isfinite(self.k):
+            raise MapFormatError(f"rear-steer gain k must be finite, got {self.k}")
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import fliess
+import fliess.cli
 import fliess.composition
 import fliess.inversion
 import fliess.pipeline
 import fliess.realization
 import fliess.series
 from fliess import symexpr as se
-from fliess.cli import main
+from fliess.cli import build_parser, main
 from fliess.errors import ConvergenceError
 from fliess.inversion import left_invert, tracking_error_series
 from fliess.pipeline import (
@@ -27,7 +28,7 @@ from fliess.pipeline import (
     track_spline,
     write_artifacts,
 )
-from fliess.planner import ObstacleMap, bundled_map, fit_spline, save_map
+from fliess.planner import ObstacleMap, bundled_map, fit_spline, load_spline, save_map
 from fliess.realization import Realization, generating_series, taylor_outputs
 from fliess.series import MatrixSeries, Series, VectorSeries, dump_json
 from fliess.vehicle import augmented_realization
@@ -352,17 +353,26 @@ class TestCli:
         self.run_ok(["plan", "--map", str(m), "--seed", "3", "--out", str(plan)])
         assert "waypoints" in capsys.readouterr().out
 
+        # the pipeline smooths with its planner seed + 1
         spline = tmp_path / "spline.json"
         self.run_ok(
             [
                 "spline",
                 "--path", str(plan),
                 "--map", str(m),
+                "--seed", "4",
                 "--sections", "3",
                 "--total-time", "0.75",
                 "--out", str(spline),
             ]
         )
+        cfg = PipelineConfig(seed=3, sections=3, total_time=0.75, series_degree=6, inversion_degree=4)
+        expected = run_pipeline(empty_map(), cfg).spline.to_json_dict()
+        assert json.loads(spline.read_text()) == json.loads(json.dumps(expected))
+        written = load_spline(spline)
+        assert written.n_sections == 3
+        assert np.allclose(written.value(0.0), empty_map().start, atol=1e-12)
+
         inputs = tmp_path / "inputs.json"
         self.run_ok(
             [
@@ -381,6 +391,50 @@ class TestCli:
         self.run_ok(["simulate", "--inputs", str(inputs), "--out", str(traj), "--steps", "40"])
         data = np.genfromtxt(traj, delimiter=",", names=True)
         assert data["t"][-1] == pytest.approx(0.75)
+
+    def test_pipeline_defaults_are_the_config(self, tmp_path, monkeypatch):
+        built = []
+
+        def record(obstacle_map, cfg, outdir=None):
+            built.append(cfg)
+            raise fliess.PlanningError("recorded")
+
+        monkeypatch.setattr(fliess.cli, "run_pipeline", record)
+        assert main(["pipeline", "--outdir", str(tmp_path / "run")]) == 2
+        assert built == [PipelineConfig()]
+
+    @pytest.mark.parametrize(
+        "command,required,flag,other,expected",
+        [
+            ("plan", [], "--step", "3", PipelineConfig().rrt_step),
+            ("plan", [], "--goal-bias", "0.5", PipelineConfig().rrt_goal_bias),
+            ("plan", [], "--max-iters", "3", PipelineConfig().rrt_max_iters),
+            ("plan", [], "--margin", "3", PipelineConfig().margin),
+            ("spline", ["--path", "p"], "--sections", "3", PipelineConfig().sections),
+            ("spline", ["--path", "p"], "--total-time", "3", PipelineConfig().total_time),
+            ("spline", ["--path", "p"], "--passes", "3", PipelineConfig().smoothing_passes),
+            ("spline", ["--path", "p"], "--margin", "3", PipelineConfig().margin),
+            ("spline", ["--path", "p"], "--samples", "3", PipelineConfig().samples_per_section),
+            ("spline", ["--path", "p"], "--initial-heading", "3", PipelineConfig().initial_heading),
+            ("spline", ["--path", "p"], "--branch", "positive", PipelineConfig().branch),
+            ("spline", ["--path", "p"], "--length", "3", fliess.CarParams().length),
+            ("spline", ["--path", "p"], "--k", "3", fliess.CarParams().k),
+            ("invert", ["--spline", "s"], "--degree", "3", PipelineConfig().inversion_degree),
+            ("invert", ["--spline", "s"], "--series-degree", "3", PipelineConfig().series_degree),
+            ("invert", ["--spline", "s"], "--length", "3", fliess.CarParams().length),
+            ("invert", ["--spline", "s"], "--k", "3", fliess.CarParams().k),
+            ("simulate", ["--inputs", "i"], "--steps", "3", PipelineConfig().rk4_steps),
+        ],
+    )
+    def test_subcommand_defaults_are_the_library_defaults(
+        self, command, required, flag, other, expected
+    ):
+        # the option's destination is the one attribute that giving it changes
+        argv = [command, "--out", "o"] + required
+        default = vars(build_parser().parse_args(argv))
+        given = vars(build_parser().parse_args(argv + [flag, other]))
+        (dest,) = [key for key in default if default[key] != given[key]]
+        assert default[dest] == expected
 
     def test_pipeline_command(self, tmp_path, capsys):
         m = tmp_path / "map.json"
@@ -431,6 +485,17 @@ class TestCli:
         assert "malformed inputs document" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exit_code_2_for_a_zero_car_length_in_simulate_inputs(self, tmp_path, capsys):
+        inputs = tmp_path / "inputs.json"
+        self.write_inputs(inputs)
+        doc = json.loads(inputs.read_text())
+        doc["params"]["L"] = 0
+        inputs.write_text(json.dumps(doc))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--inputs", str(inputs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: car length must be positive and finite, got 0\n"
+        assert not out.exists()
+
     def test_exit_code_4_for_infinite_input(self, tmp_path, capsys):
         # json reads Infinity; the first stage of the first step is not finite
         inputs = tmp_path / "inputs.json"
@@ -479,6 +544,11 @@ class TestCli:
             ("plan", ["--margin", "-1"], 2, "margin must be non-negative and finite"),
             ("spline", ["--samples", "0"], 2, "at least one fit sample per section"),
             ("spline", ["--initial-heading", "inf"], 2, "initial heading must be finite"),
+            ("pipeline", ["--length", "nan"], 2, "car length must be positive and finite, got nan"),
+            ("pipeline", ["--length", "0"], 2, "car length must be positive and finite, got 0.0"),
+            ("pipeline", ["--k", "nan"], 2, "rear-steer gain k must be finite, got nan"),
+            ("plan", ["--max-iters", "-5"], 2, "max iterations must be non-negative, got -5"),
+            ("pipeline", ["--max-iters", "-5"], 2, "max iterations must be non-negative, got -5"),
         ],
     )
     def test_bad_planner_inputs_fail_up_front(self, tmp_path, capsys, command, extra, code, message):

@@ -23,7 +23,6 @@ from fliess.planner import (
     load_spline,
     rrt_plan,
     save_map,
-    smooth_and_spline,
     smooth_path,
     _point_segment_distance,
     _segment_segment_distance,
@@ -520,8 +519,10 @@ class TestPathSpline:
             PathSpline.from_json_dict({"wrong": 1})
 
     def test_smooth_and_spline(self):
+        # the chain `fliess spline --map` runs: smooth_path, then fit_spline
         m = empty_map()
-        sp = smooth_and_spline([(1, 1), (1, 9), (9, 9)], 4, total_time=2.0, obstacle_map=m)
+        smoothed = smooth_path([(1, 1), (1, 9), (9, 9)], m)
+        sp = fit_spline(smoothed, 4, total_time=2.0)
         assert sp.n_sections == 4
         assert np.allclose(sp.value(0.0), (1.0, 1.0), atol=1e-12)
 

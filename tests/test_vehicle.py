@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fliess.errors import SingularDecouplingError
+from fliess.errors import MapFormatError, SingularDecouplingError
 from fliess.inversion import TaylorOutput
 from fliess.realization import rk4_simulate
 from fliess.vehicle import (
@@ -20,6 +20,22 @@ class TestParams:
         p = CarParams()
         assert p.length == 1.0
         assert p.k == -0.7
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"length": 0.0}, "car length must be positive and finite, got 0.0"),
+            ({"length": -1.0}, "car length must be positive and finite, got -1.0"),
+            ({"length": math.inf}, "car length must be positive and finite, got inf"),
+            ({"length": math.nan}, "car length must be positive and finite, got nan"),
+            ({"k": math.nan}, "rear-steer gain k must be finite, got nan"),
+            ({"k": -math.inf}, "rear-steer gain k must be finite, got -inf"),
+        ],
+    )
+    def test_bad_params_rejected_where_built(self, kwargs, message):
+        with pytest.raises(MapFormatError) as info:
+            CarParams(**kwargs)
+        assert str(info.value) == message
 
     def test_section_init_validate_passes(self):
         init = SectionInit(0.0, 0.0, 0.1, 0.5, 2.0)
