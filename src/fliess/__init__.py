@@ -11,7 +11,6 @@ on those pieces.
 from fliess.composition import (
     DeltaSeries,
     compose,
-    feedback_product,
     group_inverse,
     modified_compose,
 )
@@ -63,18 +62,14 @@ from fliess.realization import (
     lie_derivative,
     rk4_simulate,
     taylor_outputs,
-    uniform_grid,
 )
 from fliess.series import (
     MatrixSeries,
     Series,
     VectorSeries,
-    catenate,
     left_shift,
-    letter_prefixed,
     shuffle,
     shuffle_inverse,
-    shuffle_power,
 )
 from fliess.vehicle import (
     CarParams,
@@ -127,17 +122,14 @@ __all__ = [
     "augmented_realization",
     "bundled_map",
     "car_realization",
-    "catenate",
     "compose",
     "extract_path",
-    "feedback_product",
     "fit_spline",
     "fliess_eval",
     "generating_series",
     "group_inverse",
     "left_invert",
     "left_shift",
-    "letter_prefixed",
     "lie_derivative",
     "load_map",
     "load_spline",
@@ -150,11 +142,9 @@ __all__ = [
     "save_map",
     "shuffle",
     "shuffle_inverse",
-    "shuffle_power",
     "smooth_path",
     "solve_first_order_match",
     "taylor_outputs",
     "track_spline",
     "tracking_error_series",
-    "uniform_grid",
 ]

@@ -149,6 +149,8 @@ def cmd_simulate(args):
             duration = float(entry["duration"])
             u = TaylorOutput([entry["steering_rate"], entry["speed_rate"]])
             sections.append((augmented_realization(init, params), u, duration))
+        if not sections:
+            raise MapFormatError("malformed inputs document: no sections")
     pieces = [rk4_simulate(r, u, duration, args.rk4_steps) for r, u, duration in sections]
     combined = Trajectory.concat(pieces)
     combined.to_csv(args.out)

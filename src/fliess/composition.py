@@ -18,10 +18,8 @@ degree: degree k of e is final after k+1 sweeps.
 
 from __future__ import annotations
 
-import numpy as np
-
 from fliess.errors import AlphabetMismatchError, ConvergenceError
-from fliess.series import EPS, Series, VectorSeries, _kept, _mix, _suffix_closure, shuffle_terms
+from fliess.series import EPS, Series, VectorSeries, _kept, _suffix_closure, shuffle_terms
 
 
 def _word_images(words, d, degree, modified):
@@ -189,41 +187,3 @@ class DeltaSeries:
     def __repr__(self):
         return f"DeltaSeries(identity + {self.base!r})"
 
-
-def _static_mix(gain, plant, degree):
-    g = np.atleast_2d(np.asarray(gain, dtype=float))
-    if g.shape == (1, 1) and len(plant) > 1:
-        g = g[0, 0] * np.eye(len(plant))
-    if g.shape[1] != len(plant):
-        raise ValueError("static gain width and plant output count differ")
-    outputs = plant.truncate(degree).components
-    return VectorSeries([_mix(row, outputs, degree) for row in g])
-
-
-def feedback_product(c, d, degree=None):
-    """Output feedback closure: c composed with the inverse of (identity - d o c).
-
-    c is the plant series (scalar or vector).  d is the feedback map
-    applied positively (closed loop input = external input + feedback
-    of the output): a vector series for dynamic feedback, a
-    DeltaSeries for feedback with unit feedthrough, or a scalar/matrix
-    static gain (pass -1 for classical negative unity feedback).  The
-    closed loop equals the modified composition of c with the group
-    inverse of -(d o c).
-    """
-    plant = _as_vector(c)
-    if degree is None:
-        degree = c.max_degree
-        if isinstance(d, VectorSeries):
-            degree = min(degree, d.max_degree)
-        elif isinstance(d, DeltaSeries):
-            degree = min(degree, d.base.max_degree)
-    if isinstance(d, DeltaSeries):
-        loop = d.compose(plant, degree)  # (I + d0) o c = c + d0 o c
-    elif isinstance(d, VectorSeries):
-        loop = _as_vector(compose(d, plant, degree))
-    else:
-        loop = _static_mix(d, plant, degree)
-    e = group_inverse(-1.0 * loop, degree)
-    closed = modified_compose(c, e, degree)
-    return closed

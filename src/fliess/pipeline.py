@@ -55,10 +55,6 @@ class PipelineConfig:
     initial_heading: float = None
     arrival_tol: float = 0.2
 
-    @property
-    def section_duration(self):
-        return self.total_time / self.sections
-
     def validate(self):
         if self.inversion_degree < 1:
             raise ValueError("inversion degree must be positive")

@@ -310,17 +310,22 @@ class ObstacleMap:
             for entry in obj.get("obstacles", []):
                 kind = entry["type"]
                 if kind == "circle":
-                    obstacles.append(
-                        Circle(tuple(float(v) for v in entry["center"]), float(entry["radius"]))
-                    )
+                    obstacles.append(Circle(_point(entry["center"]), float(entry["radius"])))
                 elif kind == "polygon":
-                    vertices = tuple(tuple(float(v) for v in vert) for vert in entry["vertices"])
+                    vertices = tuple(_point(vert) for vert in entry["vertices"])
                     if len(vertices) < 3:
                         raise MapFormatError(f"polygon needs >= 3 vertices, got {len(vertices)}")
                     obstacles.append(Polygon(vertices))
                 else:
                     raise MapFormatError(f"unknown obstacle type {kind!r}")
             return cls(obj["bounds"], obstacles, obj["start"], obj["goal"])
+
+
+def _point(values):
+    point = tuple(float(v) for v in values)
+    if len(point) != 2:
+        raise MapFormatError(f"a point needs two coordinates, got {len(point)}")
+    return point
 
 
 def load_map(path):
@@ -575,13 +580,13 @@ class PathSpline:
         with decoding("spline", obj):
             sections = []
             for entry in obj["sections"]:
-                if "poly" in entry:
-                    poly = tuple(tuple(float(v) for v in row) for row in entry["poly"])
-                else:
-                    poly = tuple(
-                        tuple(float(v) / f for f, v in zip(_FACTORIALS, row))
-                        for row in entry["series"]
-                    )
+                key = "poly" if "poly" in entry else "series"
+                rows = [[float(v) for v in row] for row in entry[key]]
+                if [len(row) for row in rows] != [4, 4]:
+                    raise MapFormatError(f"section {key} must be two rows of four numbers")
+                if key == "series":
+                    rows = [[v / f for f, v in zip(_FACTORIALS, row)] for row in rows]
+                poly = tuple(tuple(row) for row in rows)
                 init = SectionInit(**{k: float(v) for k, v in entry["init"].items()})
                 sections.append(SplineSection(float(entry["duration"]), poly, init))
             if not sections:
@@ -653,40 +658,52 @@ def fit_spline(
     # slope error grow by ~1.3x per section, so each fit also targets the
     # polyline slope over the section's last sample interval
     w_end = 10.0 * duration * math.sqrt(samples_per_section + 1.0)
-    scale = np.array([duration, duration**2, duration**3])
-    # scaled columns of a1, a2, a3; a section solves for those it does not pin
-    design = np.vstack(
-        [
-            np.column_stack([t, t * t, t**3]),
-            [w_end, w_end * 2.0 * duration, w_end * 3.0 * duration * duration],
-        ]
-    ) / scale
-    for j in range(sections):
-        rows = slice(j * samples_per_section, (j + 1) * samples_per_section + 1)
-        pts = resampled[rows]
-        pinned = 1 if prev_slope is None else 2  # a0, and a1 after the first section
-        poly_rows = []
-        for ch in range(2):
-            target = pts[:, ch]
-            end_slope = (pts[-1, ch] - pts[-2, ch]) / dt
-            a0 = float(prev_value[ch])
-            a1 = 0.0 if prev_slope is None else float(prev_slope[ch])
-            rhs = np.concatenate([target - a0 - a1 * t, [w_end * (end_slope - a1)]])
-            sol, *_ = np.linalg.lstsq(design[:, pinned - 1 :], rhs, rcond=None)
-            free = tuple(float(a) for a in sol / scale[pinned - 1 :])
-            poly_rows.append((a0, a1)[:pinned] + free)
+    # a total time whose powers overflow or underflow, or whose values
+    # overflow in the solve, fails here with one message: numpy raises
+    # instead of warning, and LAPACK never sees a non-finite entry
+    out_of_range = f"total time {total_time:g} is outside the range the fit can scale"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            scale = np.array([duration, duration**2, duration**3])
+            if not (np.isfinite(scale).all() and scale.all()):
+                raise SplineFitError(out_of_range)
+            # scaled columns of a1, a2, a3; a section solves for those it does not pin
+            design = np.vstack(
+                [
+                    np.column_stack([t, t * t, t**3]),
+                    [w_end, w_end * 2.0 * duration, w_end * 3.0 * duration * duration],
+                ]
+            ) / scale
+            if not np.isfinite(design).all():
+                raise SplineFitError(out_of_range)
+            for j in range(sections):
+                rows = slice(j * samples_per_section, (j + 1) * samples_per_section + 1)
+                pts = resampled[rows]
+                pinned = 1 if prev_slope is None else 2  # a0, and a1 after the first section
+                poly_rows = []
+                for ch in range(2):
+                    target = pts[:, ch]
+                    end_slope = (pts[-1, ch] - pts[-2, ch]) / dt
+                    a0 = float(prev_value[ch])
+                    a1 = 0.0 if prev_slope is None else float(prev_slope[ch])
+                    rhs = np.concatenate([target - a0 - a1 * t, [w_end * (end_slope - a1)]])
+                    sol, *_ = np.linalg.lstsq(design[:, pinned - 1 :], rhs, rcond=None)
+                    free = tuple(float(a) for a in sol / scale[pinned - 1 :])
+                    poly_rows.append((a0, a1)[:pinned] + free)
 
-        slope0 = (poly_rows[0][1], poly_rows[1][1])
-        if j == 0 and initial_heading is not None:
-            z3 = float(initial_heading)
-        else:
-            z3 = math.atan2(slope0[1], slope0[0])
-        z4, z5 = solve_first_order_match(slope0, z3, branch=branch, params=params)
-        init = SectionInit(
-            z1=poly_rows[0][0], z2=poly_rows[1][0], z3=z3, z4=z4, z5=z5
-        ).validate(params)
-        section = SplineSection(duration=duration, poly=tuple(poly_rows), init=init)
-        built.append(section)
-        prev_value = section.value(duration)
-        prev_slope = section.derivative(duration)
+                slope0 = (poly_rows[0][1], poly_rows[1][1])
+                if j == 0 and initial_heading is not None:
+                    z3 = float(initial_heading)
+                else:
+                    z3 = math.atan2(slope0[1], slope0[0])
+                z4, z5 = solve_first_order_match(slope0, z3, branch=branch, params=params)
+                init = SectionInit(
+                    z1=poly_rows[0][0], z2=poly_rows[1][0], z3=z3, z4=z4, z5=z5
+                ).validate(params)
+                section = SplineSection(duration=duration, poly=tuple(poly_rows), init=init)
+                built.append(section)
+                prev_value = section.value(duration)
+                prev_slope = section.derivative(duration)
+    except (FloatingPointError, OverflowError, np.linalg.LinAlgError):
+        raise SplineFitError(out_of_range) from None
     return PathSpline(tuple(built))

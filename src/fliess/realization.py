@@ -28,15 +28,14 @@ its eval(t), which returns the (m, len(t)) input values; in the
 pipeline that is the left inversion's TaylorOutput, so RK4 integrates
 the very expansion the inversion produced.  The functional evaluator
 sums coefficient-weighted iterated integrals on a shared uniform grid
-(trapezoid rule, 2000 points per unit time by default).  Both
-integrators read one right-hand side, the symbolic g0 + sum_i u_i g_i
-per state with the inputs as the variables after the parameters.  The
-ground-truth simulator is fixed-step classical Runge-Kutta: it
-evaluates the input once per step grid (step starts, midpoints and
-ends) and steps on plain floats through a cached SlotTape of that
-right-hand side.  Under polynomial inputs, Taylor-mode integration of
-the same right-hand side (a cached JetTape) gives the output's Taylor
-coefficients at the initial state without the series.
+(trapezoid rule).  Both integrators read one right-hand side, the
+symbolic g0 + sum_i u_i g_i per state with the inputs as the variables
+after the parameters.  The ground-truth simulator is fixed-step
+classical Runge-Kutta: it evaluates the input once per step grid (step
+starts, midpoints and ends) and steps on plain floats through a cached
+SlotTape of that right-hand side.  Under polynomial inputs, Taylor-mode
+integration of the same right-hand side (a cached JetTape) gives the
+output's Taylor coefficients at the initial state without the series.
 """
 
 from __future__ import annotations
@@ -47,10 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fliess import symexpr
-from fliess.errors import EvaluationError, SimulationError, decoding
+from fliess.errors import EvaluationError, SimulationError
 from fliess.series import EPS, Series, VectorSeries
-
-DEFAULT_GRID_DENSITY = 2000  # points per unit time
 
 
 @dataclass(frozen=True)
@@ -102,28 +99,6 @@ class Realization:
     @property
     def n_outputs(self):
         return len(self.outputs)
-
-    def with_initial_state(self, z0):
-        return Realization(self.fields, self.outputs, z0, self.params)
-
-    def to_json_dict(self):
-        return {
-            "n": self.n_states,
-            "m": self.n_inputs,
-            "z0": list(self.z0),
-            "params": list(self.params),
-            "fields": [[symexpr.to_text(e) for e in col] for col in self.fields],
-            "outputs": [symexpr.to_text(e) for e in self.outputs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        with decoding("realization", obj):
-            params = obj.get("params", [])
-            n_vars = obj["n"] + len(params)
-            fields = [[symexpr.parse_expr(t, n_vars) for t in col] for col in obj["fields"]]
-            outputs = [symexpr.parse_expr(t, n_vars) for t in obj["outputs"]]
-            return cls(fields, outputs, obj["z0"], params)
 
 
 def lie_derivative(g, h):
@@ -309,11 +284,6 @@ def _cumtrapz(f, dt):
     out[0] = 0.0
     np.cumsum((f[1:] + f[:-1]) * (0.5 * dt), out=out[1:])
     return out
-
-
-def uniform_grid(horizon, density=DEFAULT_GRID_DENSITY):
-    n = max(2, int(round(horizon * density)) + 1)
-    return np.linspace(0.0, horizon, n)
 
 
 def fliess_eval(series, u, grid):

@@ -8,7 +8,7 @@ max_degree are never stored, and coefficients with magnitude below
 1e-15 are dropped after every arithmetic step so zero stays canonical.
 The public constructor and addition reject NaN and infinite
 coefficients with NonFiniteError, so they cannot pass that filter as
-zeros; the products (scalar, shuffle, catenation and composition)
+zeros; the products (scalar, shuffle and composition)
 share one such filter, ``_kept``.
 
 Truncation degree is a property of each operation call.  When the
@@ -170,9 +170,6 @@ class Series:
     def terms_dict(self):
         """The raw sparse map (do not mutate)."""
         return self._terms
-
-    def is_zero(self):
-        return not self._terms
 
     def constant_term(self):
         return self._terms.get(EMPTY_WORD, 0.0)
@@ -600,43 +597,6 @@ def _shuffle_dot(row, col, degree):
     for a, b in zip(row, col):
         acc = acc + _shuffle_scalar(a, b, degree)
     return acc
-
-
-def shuffle_power(a, k, degree=None):
-    """k-fold shuffle power of a scalar series (k=0 gives the unit)."""
-    deg = a.max_degree if degree is None else degree
-    out = Series.unit(a.alphabet_size, deg)
-    for _ in range(k):
-        out = shuffle(out, a, deg)
-    return out
-
-
-def catenate(a, b, degree=None):
-    """Catenation (concatenation) product of scalar series."""
-    a._check_compatible(b)
-    deg = _effective_degree(a, b, degree)
-    out = {}
-    for ua, ca in a._terms.items():
-        if len(ua) > deg:
-            continue
-        for ub, cb in b._terms.items():
-            if len(ua) + len(ub) > deg:
-                continue
-            w = ua + ub
-            out[w] = out.get(w, 0.0) + ca * cb
-    return Series._raw(a.alphabet_size, deg, _kept(out, "catenation product"))
-
-
-def letter_prefixed(letter, s, degree):
-    """The series x_letter * s truncated to degree (left catenation by one letter)."""
-    letter = int(letter)
-    if not 0 <= letter < s.alphabet_size:
-        raise ValueError(f"letter {letter} outside alphabet of size {s.alphabet_size}")
-    out = {}
-    for w, c in s._terms.items():
-        if len(w) + 1 <= degree:
-            out[(letter,) + w] = c
-    return Series._raw(s.alphabet_size, degree, out)
 
 
 def left_shift(prefix, s):

@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 
-from fliess.errors import EvaluationError, MapFormatError
+from fliess.errors import EvaluationError
 
 _TABLE = {}
 _IDS = itertools.count()
@@ -708,7 +708,7 @@ _PREC = {ADD: 1, MUL: 2, DIV: 2, POW: 3}
 
 
 def to_text(e):
-    """Render in the textual grammar accepted by parse_expr."""
+    """Render as infix text: z-variables, + - * / ^int, sin/cos/tan."""
 
     def render(node, parent_prec):
         k = node.kind
@@ -730,7 +730,7 @@ def to_text(e):
             return f"({s})" if parent_prec > 1 else s
         if k == MUL:
             # a quotient factor keeps its parentheses: bare after another
-            # factor, z3*z1/z2 would parse back as (z3*z1)/z2, another node
+            # factor, z3*z1/z2 would read as (z3*z1)/z2, another node
             s = "*".join(render(a, 3 if a.kind == DIV else 2) for a in node.args)
             return f"({s})" if parent_prec > 2 else s
         if k == DIV:
@@ -744,117 +744,3 @@ def to_text(e):
 
     return render(e, 0)
 
-
-class _Parser:
-    def __init__(self, text, n_vars=None):
-        self.text = text
-        self.pos = 0
-        self.n_vars = n_vars
-
-    def error(self, msg):
-        raise MapFormatError(f"expression parse error at column {self.pos}: {msg} (in {self.text!r})")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self):
-        e = self.parse_sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return e
-
-    def parse_sum(self):
-        e = self.parse_product()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                e = add(e, self.parse_product())
-            elif ch == "-":
-                self.pos += 1
-                e = sub(e, self.parse_product())
-            else:
-                return e
-
-    def parse_product(self):
-        e = self.parse_power()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                e = mul(e, self.parse_power())
-            elif ch == "/":
-                self.pos += 1
-                e = div(e, self.parse_power())
-            else:
-                return e
-
-    def parse_power(self):
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.pos += 1
-            sign = 1
-            if self.peek() == "-":
-                self.pos += 1
-                sign = -1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                self.error("integer exponent expected")
-            return power(base, sign * int(self.text[start : self.pos]))
-        return base
-
-    def parse_atom(self):
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            return mul(const(-1.0), self.parse_power())
-        if ch == "(":
-            self.pos += 1
-            e = self.parse_sum()
-            self.take(")")
-            return e
-        if ch.isdigit() or ch == ".":
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] in ".eE"):
-                if self.text[self.pos] in "eE" and self.pos + 1 < len(self.text) and self.text[self.pos + 1] in "+-":
-                    self.pos += 1
-                self.pos += 1
-            try:
-                return const(float(self.text[start : self.pos]))
-            except ValueError:
-                self.error("bad number literal")
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isalnum():
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name in ("sin", "cos", "tan", "sec"):
-                self.take("(")
-                arg = self.parse_sum()
-                self.take(")")
-                return {"sin": sin, "cos": cos, "tan": tan, "sec": sec}[name](arg)
-            if name.startswith("z") and name[1:].isdigit():
-                idx = int(name[1:]) - 1
-                if idx < 0 or (self.n_vars is not None and idx >= self.n_vars):
-                    self.error(f"variable {name} outside declared state dimension")
-                return var(idx)
-            self.error(f"unknown identifier {name!r}")
-        self.error("unexpected character")
-
-
-def parse_expr(text, n_vars=None):
-    """Parse the textual grammar: z-variables, + - * / ^int, sin/cos/tan/sec."""
-    return _Parser(text, n_vars).parse()

@@ -10,7 +10,6 @@ from fliess import (
     Series,
     VectorSeries,
     compose,
-    feedback_product,
     group_inverse,
     modified_compose,
     shuffle,
@@ -141,7 +140,7 @@ class TestModifiedCompose:
 class TestGroupInverse:
     def test_zero_is_identity_element(self):
         e = group_inverse(VectorSeries.zero(2, 3, 4), 4)
-        assert all(comp.is_zero() for comp in e)
+        assert all(not comp.terms_dict() for comp in e)
 
     def test_single_letter_alternating_prefixes(self):
         e = group_inverse(VectorSeries([Series.monomial((1,), 2, 5)]), 5)
@@ -199,46 +198,3 @@ class TestDeltaSeries:
         out = a.compose(d, 4)
         want = d.truncate(4) + compose(a.base, d, 4)
         assert out.max_abs_diff(want) < 1e-12
-
-
-class TestFeedback:
-    def test_open_loop(self, rng):
-        c = random_vector(rng, 2, 4)
-        closed = feedback_product(c, VectorSeries.zero(2, 3, 4), 4)
-        assert closed.max_abs_diff(c.truncate(4)) < 1e-12
-
-    def test_zero_plant(self):
-        c = VectorSeries.zero(2, 3, 4)
-        closed = feedback_product(c, 1.0, 4)
-        assert all(comp.is_zero() for comp in closed)
-
-    def test_negative_unity_on_single_integrator(self):
-        # plant y = integral of u; closed loop with u = v - y has kernel
-        # exp(-t), i.e. alternating drift prefixes on x1
-        x1 = Series.monomial((1,), 2, 6)
-        closed = feedback_product(x1, -1.0, 6)
-        want = Series(2, 6, {(0,) * k + (1,): float((-1) ** k) for k in range(6)})
-        got = closed[0] if isinstance(closed, VectorSeries) else closed
-        assert got.max_abs_diff(want) < 1e-12
-
-    def test_matrix_gain_with_a_zero_entry(self, rng):
-        # closed loop built by hand: the loop is gain times plant
-        c = random_vector(rng, 2, 4, n_terms=8)
-        gain = np.array([[2.0, 0.0], [-1.5, 0.5]])
-        loop = VectorSeries([2.0 * c[0], -1.5 * c[0] + 0.5 * c[1]])
-        want = modified_compose(c, group_inverse(-1.0 * loop, 4), 4)
-        assert feedback_product(c, gain, 4).max_abs_diff(want) == 0.0
-
-    def test_matrix_gain_shape_check(self, rng):
-        c = random_vector(rng, 2, 4)
-        with pytest.raises(ValueError):
-            feedback_product(c, np.ones((2, 3)), 4)
-
-    def test_dynamic_feedback_defining_identity(self, rng):
-        # closed loop must satisfy closed = c otilde gi(-(d o c))
-        c = random_vector(rng, 2, 4, n_terms=8)
-        d = random_vector(rng, 2, 4, n_terms=8, proper=True)
-        closed = feedback_product(c, d, 4)
-        e = group_inverse(-1.0 * compose(d, c, 4), 4)
-        want = modified_compose(c, e, 4)
-        assert closed.max_abs_diff(want) == 0.0

@@ -64,6 +64,13 @@ def straight_section():
     return fit_spline([(0.0, 0.0), (2.0, 0.0)], 1, total_time=0.5).sections[0]
 
 
+def series_section(**overrides):
+    """A straight section's document in the series convention, without poly."""
+    doc = straight_section().to_json_dict()
+    del doc["poly"]
+    return dict(doc, **overrides)
+
+
 def curved_section():
     theta = np.linspace(0.0, 0.8, 30)
     arc = [(2 * math.sin(a), 2 * (1 - math.cos(a))) for a in theta]
@@ -74,7 +81,6 @@ class TestConfig:
     def test_defaults_validate(self):
         cfg = PipelineConfig()
         assert cfg.validate() is cfg
-        assert cfg.section_duration == pytest.approx(1.0 / 50)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -456,7 +462,8 @@ class TestCli:
         assert (outdir / "overlay.svg").exists()
 
     @staticmethod
-    def write_inputs(path, **overrides):
+    def write_inputs(path, sections=None, **overrides):
+        """One straight section with overrides, or the given sections list."""
         section = {
             "duration": 0.1,
             "init": {"z1": 0.0, "z2": 0.0, "z3": 0.0, "z4": 0.1, "z5": 1.0},
@@ -464,7 +471,9 @@ class TestCli:
             "speed_rate": [0.0],
         }
         section.update(overrides)
-        path.write_text(json.dumps({"params": {"L": 1.0, "k": -0.7}, "sections": [section]}))
+        if sections is None:
+            sections = [section]
+        path.write_text(json.dumps({"params": {"L": 1.0, "k": -0.7}, "sections": sections}))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -475,6 +484,7 @@ class TestCli:
             {"steering_rate": 5},
             {"steering_rate": []},
             {"steering_rate": [0.0, 1.0]},  # channels of unequal length
+            {"sections": []},
         ],
     )
     def test_exit_code_2_for_malformed_simulate_inputs(self, tmp_path, capsys, overrides):
@@ -513,6 +523,24 @@ class TestCli:
         argv = ["spline", "--path", str(path), "--sections", "1", "--out", str(tmp_path / "o")]
         assert main(argv + ["--total-time", total_time]) == 2
         assert capsys.readouterr().err == "error: total time must be positive and finite\n"
+
+    @pytest.mark.parametrize(
+        "command,total_time",
+        [("spline", t) for t in ("1e308", "1e104", "1e103", "1e-102", "1e-103", "1e-150", "1e-300")]
+        + [("pipeline", "1e308")],
+    )
+    def test_exit_code_2_for_extreme_total_time(self, tmp_path, capfd, command, total_time):
+        # capfd, not capsys: LAPACK writes its complaints to the process's stderr
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"points": [[0, 0], [5, 3], [10, 1], [15, 5], [20, 2]]}))
+        argv = {
+            "spline": ["spline", "--path", str(path), "--sections", "3", "--out", str(tmp_path / "o")],
+            "pipeline": ["pipeline", "--sections", "3", "--outdir", str(tmp_path / "o")],
+        }[command]
+        assert main(argv + ["--total-time", total_time]) == 2
+        err = capfd.readouterr().err
+        assert err == f"error: total time {float(total_time):g} is outside the range the fit can scale\n"
+        assert not (tmp_path / "o").exists()
 
     def test_exit_code_1_for_zero_steps(self, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"
@@ -618,6 +646,37 @@ class TestCli:
                 id="spline-duration-d",
             ),
             pytest.param("path", {"points": [["a", 1], [1.0, 1.0]]}, id="path-point-a"),
+            pytest.param(
+                "spline",
+                {"sections": [dict(straight_section().to_json_dict(), poly=[])]},
+                id="spline-poly-empty",
+            ),
+            pytest.param(
+                "spline",
+                {"sections": [dict(straight_section().to_json_dict(), poly={})]},
+                id="spline-poly-object",
+            ),
+            pytest.param(
+                "spline",
+                {"sections": [dict(straight_section().to_json_dict(), poly=[[0.0, 1.0, 0.0]] * 2)]},
+                id="spline-poly-short-rows",
+            ),
+            pytest.param("spline", {"sections": [series_section(series=[])]}, id="spline-series-empty"),
+            pytest.param(
+                "spline",
+                {"sections": [series_section(series=[[0.0, 1.0, 0.0, 0.0, 5.0]] * 2)]},
+                id="spline-series-long-rows",
+            ),
+            pytest.param(
+                "map",
+                map_doc(obstacles=[{"type": "polygon", "vertices": [[4, 4], [5, 4], []]}]),
+                id="map-vertex-empty",
+            ),
+            pytest.param(
+                "map",
+                map_doc(obstacles=[{"type": "circle", "center": [], "radius": 1}]),
+                id="map-center-empty",
+            ),
         ],
     )
     def test_exit_code_2_for_malformed_documents(self, tmp_path, capsys, command, document):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fliess import Series, VectorSeries, symexpr as se
-from fliess.errors import EvaluationError, MapFormatError, SimulationError
+from fliess.errors import EvaluationError, SimulationError
 from fliess.series import EPS
 from fliess.inversion import TaylorOutput, left_invert, tracking_error_series
 from fliess.realization import (
@@ -17,7 +17,6 @@ from fliess.realization import (
     lie_derivative,
     rk4_simulate,
     taylor_outputs,
-    uniform_grid,
 )
 from fliess.vehicle import (
     CarParams,
@@ -184,14 +183,14 @@ class TestGeneratingSeries:
 class TestFliessEval:
     def test_double_integrator_cubic(self):
         c = generating_series(double_integrator(0.0, 0.0), 4)[0]
-        grid = uniform_grid(0.5, density=8000)
+        grid = np.linspace(0.0, 0.5, 4001)
         u = TaylorOutput([[0.0, 1.0]])  # u = t
         y = fliess_eval(c, u, grid)
         assert np.max(np.abs(y - grid**3 / 6.0)) < 1e-7
 
     def test_drift_only_word_is_time_power(self):
         s = Series.monomial((0, 0, 0), 1, 3)
-        grid = uniform_grid(1.0, density=4000)
+        grid = np.linspace(0.0, 1.0, 4001)
         y = fliess_eval(s, np.zeros((0, grid.size)), grid)
         assert np.max(np.abs(y - grid**3 / 6.0)) < 1e-7
 
@@ -199,7 +198,7 @@ class TestFliessEval:
         r = bilinear_pair()
         r = Realization(fields=r.fields, outputs=[se.var(0), se.var(1)], z0=r.z0)
         c = generating_series(r, 4)
-        grid = uniform_grid(0.5, density=4000)
+        grid = np.linspace(0.0, 0.5, 2001)
         u = TaylorOutput([[1.0], [1.0]])
         y = fliess_eval(c, u, grid)
         assert y.shape == (grid.size, 2)
@@ -208,7 +207,7 @@ class TestFliessEval:
 
     def test_shape_mismatch_raises(self):
         c = generating_series(bilinear_pair(), 2)
-        grid = uniform_grid(0.5)
+        grid = np.linspace(0.0, 0.5, 1001)
         with pytest.raises(ValueError):
             fliess_eval(c, np.ones((1, grid.size)), grid)
 
@@ -360,7 +359,7 @@ class TestSimulation:
         u = TaylorOutput([[1.0], [0.3]])
         traj = rk4_simulate(r, u, 0.1, 200)
         c = generating_series(r, 6)
-        grid = uniform_grid(0.1, density=2000)
+        grid = np.linspace(0.0, 0.1, 201)
         y = fliess_eval(c, u, grid)
         assert abs(y[-1, 0] - traj.outputs[-1, 0]) < 1e-8
         assert abs(y[-1, 1] - traj.outputs[-1, 1]) < 1e-8
@@ -505,37 +504,6 @@ class TestRealizationObject:
         with pytest.raises(ValueError, match="reads z3"):
             entry(Realization(fields=[[se.var(1)]], outputs=[se.var(2)], z0=(1.0,), params=(2.0,)))
         entry(Realization(fields=[[se.var(1)]], outputs=[se.var(0)], z0=(1.0,), params=(2.0,)))
-
-    def test_with_initial_state(self):
-        r = double_integrator(0.0, 0.0)
-        r2 = r.with_initial_state((5.0, 6.0))
-        assert r2.z0 == (5.0, 6.0)
-        assert r2.fields == r.fields
-
-    def test_json_round_trip(self):
-        r = augmented_realization((0.1, -0.2, 0.3, 0.4, 1.5), CarParams(1.4, -0.35))
-        r2 = Realization.from_json_dict(r.to_json_dict())
-        assert r2.z0 == r.z0
-        assert r2.params == (1.4, -0.35)
-        c1 = generating_series(r, 4)
-        c2 = generating_series(r2, 4)
-        assert c1.max_abs_diff(c2) < 1e-12
-
-    def test_parameter_symbols_parse(self):
-        r = augmented_realization((0.1, -0.2, 0.3, 0.4, 1.5))
-        text = se.to_text(r.fields[0][2])
-        assert "z6" in text and "z7" in text
-        back = se.parse_expr(text, 7)
-        assert se.to_text(back) == text
-        point = r.z0 + r.params
-        assert se.evaluate(back, point) == pytest.approx(se.evaluate(r.fields[0][2], point), rel=1e-15)
-        for params in ([1.0], ["long"]):  # z7 undeclared; a non-numeric value
-            with pytest.raises(MapFormatError):
-                Realization.from_json_dict(dict(r.to_json_dict(), params=params))
-
-    def test_with_initial_state_keeps_parameters(self):
-        r = augmented_realization((0.1, -0.2, 0.3, 0.4, 1.5), CarParams(1.4, -0.35))
-        assert r.with_initial_state((0.0,) * 5).params == (1.4, -0.35)
 
 
 def folded_car(init, params):
