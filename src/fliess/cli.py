@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 planning or input-format failure, 3 inversion
-precondition failure, 4 numeric singularity, divergence or a non-finite
-coefficient.
+Exit codes: 0 success, 2 planning failure, input-format failure or bad
+option value, 3 inversion precondition failure, 4 numeric singularity,
+divergence or a non-finite coefficient.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from fliess.errors import (
 from fliess.inversion import TaylorOutput, left_invert
 from fliess.pipeline import PipelineConfig, run_pipeline
 from fliess.planner import (
+    _point,
     bundled_map,
     extract_path,
     fit_spline,
@@ -90,7 +91,7 @@ def cmd_plan(args):
 def cmd_spline(args):
     doc = load_json_document(args.path)
     with decoding("path", doc):
-        points = [tuple(float(v) for v in p) for p in doc["points"]]
+        points = [_point(p) for p in doc["points"]]
     params = _car_params(args)
     if args.map:
         obstacle_map = load_map(args.map)
@@ -140,6 +141,8 @@ def cmd_invert(args):
 
 
 def cmd_simulate(args):
+    if args.rk4_steps < 1:
+        raise MapFormatError("need at least one RK4 step per section")
     doc = load_json_document(args.inputs)
     with decoding("inputs", doc):
         params = CarParams(length=doc["params"]["L"], k=doc["params"]["k"])

@@ -83,7 +83,8 @@ class SplineFitError(FliessError):
 
 
 class MapFormatError(FliessError, ValueError):
-    """Malformed obstacle-map, path, spline or inputs document, or out-of-range car parameters."""
+    """Malformed obstacle-map, path, spline or inputs document, or an out-of-range
+    car parameter or pipeline option."""
 
 
 @contextmanager

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from fliess.errors import ConvergenceError
+from fliess.errors import ConvergenceError, MapFormatError
 from fliess.inversion import left_invert
 from fliess.planner import PathSpline, extract_path, fit_spline, rrt_plan, smooth_path
 from fliess.realization import Trajectory, generating_series, rk4_simulate, taylor_outputs
@@ -56,23 +56,24 @@ class PipelineConfig:
     arrival_tol: float = 0.2
 
     def validate(self):
+        """The config itself; raises MapFormatError (a ValueError) for an option out of range."""
         if self.inversion_degree < 1:
-            raise ValueError("inversion degree must be positive")
+            raise MapFormatError("inversion degree must be positive")
         if self.series_degree < self.inversion_degree + 2:
-            raise ValueError(
+            raise MapFormatError(
                 "series_degree must be at least inversion_degree + 2 "
                 "(the extended car has vector relative degree [2, 2])"
             )
         if self.sections < 1 or not 0.0 < self.total_time < math.inf:
-            raise ValueError("need a positive section count and a positive, finite total time")
+            raise MapFormatError("need a positive section count and a positive, finite total time")
         if self.rk4_steps < 1:
-            raise ValueError("need at least one RK4 step per section")
+            raise MapFormatError("need at least one RK4 step per section")
         if self.handoff not in ("measured", "planned"):
-            raise ValueError(f"unknown handoff mode {self.handoff!r}")
+            raise MapFormatError(f"unknown handoff mode {self.handoff!r}")
         if self.branch not in ("auto", "positive", "negative"):
-            raise ValueError(f"unknown branch {self.branch!r}")
+            raise MapFormatError(f"unknown branch {self.branch!r}")
         if not 0.0 <= self.arrival_tol < math.inf:
-            raise ValueError("arrival tolerance must be non-negative and finite")
+            raise MapFormatError("arrival tolerance must be non-negative and finite")
         return self
 
     def to_json_dict(self):

@@ -318,7 +318,7 @@ class ObstacleMap:
                     obstacles.append(Polygon(vertices))
                 else:
                     raise MapFormatError(f"unknown obstacle type {kind!r}")
-            return cls(obj["bounds"], obstacles, obj["start"], obj["goal"])
+            return cls(obj["bounds"], obstacles, _point(obj["start"]), _point(obj["goal"]))
 
 
 def _point(values):

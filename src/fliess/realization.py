@@ -30,16 +30,19 @@ the very expansion the inversion produced.  The functional evaluator
 sums coefficient-weighted iterated integrals on a shared uniform grid
 (trapezoid rule).  Both integrators read one right-hand side, the
 symbolic g0 + sum_i u_i g_i per state with the inputs as the variables
-after the parameters.  The ground-truth simulator is fixed-step
-classical Runge-Kutta: it evaluates the input once per step grid (step
-starts, midpoints and ends) and steps on plain floats through a cached
-SlotTape of that right-hand side.  Under polynomial inputs, Taylor-mode
+after the parameters, which each builds only when it compiles a new
+field set.  The ground-truth simulator is fixed-step classical
+Runge-Kutta: it evaluates the input once on the step starts,
+midpoints and ends, then runs every step on plain floats in one
+function compiled per right-hand side, with the nodes as named
+locals.  Under polynomial inputs, Taylor-mode
 integration of the same right-hand side (a cached JetTape) gives the
 output's Taylor coefficients at the initial state without the series.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,8 +79,7 @@ class Realization:
         for col in fields:
             if len(col) != n:
                 raise ValueError("field dimension and state dimension differ")
-        nodes = symexpr.topological([e for col in fields for e in col] + list(outputs))
-        top = max((e.value for e in nodes if e.kind == symexpr.VAR), default=-1)
+        top = _top_variable(fields, outputs)
         if top >= n + len(params):
             raise ValueError(
                 f"an expression reads z{top + 1}, "
@@ -99,6 +101,13 @@ class Realization:
     @property
     def n_outputs(self):
         return len(self.outputs)
+
+
+@functools.cache
+def _top_variable(fields, outputs):
+    """The largest variable index the expressions read, -1 for none; once per field set."""
+    nodes = symexpr.topological([e for col in fields for e in col] + list(outputs))
+    return max((e.value for e in nodes if e.kind == symexpr.VAR), default=-1)
 
 
 def lie_derivative(g, h):
@@ -386,28 +395,136 @@ def _right_hand_side(realization):
     )
 
 
-# tapes keyed by the expression tuple itself: interned nodes hash by
-# identity, and the key keeps them alive.  A JetTape's key leads with
-# "jet" and its variable count, apart from the SlotTapes: with no
-# states, a realization's rhs + outputs is its outputs tuple.
+# what the integrators compile from a right-hand side, keyed by (kind,
+# fields, outputs, parameter count), which fix the right-hand side:
+# interned nodes hash by identity, and the key keeps them alive
 _COMPILED = {}
 
 
-def _tape(exprs):
-    """The cached SlotTape of a tuple of expressions."""
-    tape = _COMPILED.get(exprs)
-    if tape is None:
-        tape = _COMPILED[exprs] = symexpr.SlotTape(exprs)
-    return tape
+def _compiled(kind, realization, build):
+    """build(rhs) for the realization's right-hand side, once per kind and key."""
+    key = (kind, realization.fields, realization.outputs, len(realization.params))
+    hit = _COMPILED.get(key)
+    if hit is None:
+        hit = _COMPILED[key] = build(_right_hand_side(realization))
+    return hit
 
 
-def _jet_tape(exprs, n_vars):
-    """The cached JetTape of a tuple of expressions over n_vars variables."""
-    key = ("jet", n_vars, exprs)
-    tape = _COMPILED.get(key)
-    if tape is None:
-        tape = _COMPILED[key] = symexpr.JetTape(exprs, n_vars)
-    return tape
+def _emit(exprs, var_names, suffix, consts):
+    """Source lines that evaluate exprs, one local per node in topological order.
+
+    var_names[i] names variable i, suffix tells these node locals from
+    another evaluation's, and consts maps each constant node to its
+    local.  Returns the lines, the names of the values of exprs, and
+    the names of every value a SlotTape of exprs holds: the variables
+    up to the last one read, the constants and the nodes.
+    """
+    order = symexpr.topological(exprs)
+    n_vars = 1 + max((e.value for e in order if e.kind == symexpr.VAR), default=-1)
+    names, lines, held = {}, [], var_names[:n_vars]
+    for e in order:
+        if e.kind == symexpr.VAR:
+            names[e] = var_names[e.value]
+            continue
+        if e.kind == symexpr.CONST:
+            names[e] = consts.setdefault(e, f"c{len(consts)}")
+        else:
+            names[e] = f"t{len(lines)}{suffix}"
+            lines.append(f"{names[e]} = {symexpr.node_source(e, [names[a] for a in e.args])}")
+        held.append(names[e])
+    return lines, [names[e] for e in exprs], held
+
+
+def _tuple(names):
+    """Source of a tuple of names, for any number of them, also as an assignment target."""
+    return "(" + "".join(f"{x}, " for x in names) + ")"
+
+
+def _finite_check(names, fail):
+    """SlotTape's check of the named values: one sum, then value by value."""
+    if not names:
+        return []
+    return [
+        f"if not _isfinite({' + '.join(names)}) and not all(map(_isfinite, {_tuple(names)})):",
+        f"    {fail}",
+    ]
+
+
+def _guarded(lines, fail):
+    """lines, with what a tape entry raises mapped to fail."""
+    if not lines:
+        return []
+    return [
+        "try:",
+        *(f"    {line}" for line in lines),
+        "except (ZeroDivisionError, OverflowError, ValueError):",
+        f"    {fail} from None",
+    ]
+
+
+def _rk4_kernel(realization, rhs):
+    """One compiled function that runs every RK4 step of dz/dt = rhs, then the outputs.
+
+    kernel(z0, params, inputs, times, h) returns the states and the
+    outputs at the times as lists of tuples; inputs[k], inputs[k +
+    steps] and inputs[k + 2 steps] are the inputs at the start, the
+    midpoint and the end of step k.  Each stage evaluates the nodes of
+    rhs as locals, emitted and checked as a SlotTape of rhs emits and
+    checks its slots.  A stage that fails or a state that leaves the
+    finite range raises SimulationError at the end time of its step;
+    an output with no finite value raises EvaluationError.
+    """
+    n, m = realization.n_states, realization.n_inputs
+    params = [f"p{j}" for j in range(len(realization.params))]
+    state = [f"z{i}" for i in range(n)]
+    consts, step, ks = {}, [], []
+    fail = "raise _SimulationError(times[k + 1])"
+    no_output = "raise _EvaluationError('no finite output')"
+    stages = (("", "", None), ("_2", "_m", "half"), ("_3", "_m", "half"), ("_4", "_e", "h"))
+    for s, grid, factor in stages:
+        names = [f"z{i}{s}" for i in range(n)] + params + [f"u{j}{grid}" for j in range(m)]
+        lines, k, held = _emit(rhs, names, s, consts)
+        if factor:
+            step += [f"z{i}{s} = z{i} + {factor} * {ks[-1][i]}" for i in range(n)]
+        step += lines + _finite_check(held, fail)
+        ks.append(k)
+    out_lines, ys, out_held = _emit(realization.outputs, state + params, "_y", consts)
+    source = [
+        "def _kernel(z, params, inputs, times, h):",
+        "    steps = len(times) - 1",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {_tuple(state)} = z",
+        f"    {_tuple(params)} = params",
+        f"    {_tuple(consts.values())} = _consts",
+        "    states = [z]",
+        "    for k in range(steps):",
+        f"        {_tuple(f'u{j}' for j in range(m))} = inputs[k]",
+        f"        {_tuple(f'u{j}_m' for j in range(m))} = inputs[k + steps]",
+        f"        {_tuple(f'u{j}_e' for j in range(m))} = inputs[k + 2 * steps]",
+        *(f"        {line}" for line in _guarded(step, fail)),
+        *(
+            f"        {z} = {z} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+            for z, a, b, c, d in zip(state, *ks)
+        ),
+        *(f"        {line}" for line in _finite_check(state, fail)),
+        f"        states.append({_tuple(state)})",
+        "    ys = []",
+        f"    for {_tuple(state)} in states:",
+        *(f"        {line}" for line in _guarded(out_lines, no_output)),
+        *(f"        {line}" for line in _finite_check(out_held, no_output)),
+        f"        ys.append({_tuple(ys)})",
+        "    return states, ys",
+    ]
+    scope = {
+        "_math": math,
+        "_isfinite": math.isfinite,
+        "_consts": tuple(e.value for e in consts),
+        "_SimulationError": SimulationError,
+        "_EvaluationError": EvaluationError,
+    }
+    exec(compile("\n".join(source) + "\n", "<fliess-rk4>", "exec"), scope)
+    return scope["_kernel"]
 
 
 def rk4_simulate(realization, u, horizon, steps):
@@ -415,54 +532,23 @@ def rk4_simulate(realization, u, horizon, steps):
 
     u has an eval(t) method returning the (m, len(t)) input values,
     such as the TaylorOutput that left_invert returns; it may be None
-    when the realization has no inputs.  The input is evaluated once
-    per call, vectorised on each stage-time grid (t_k, t_k + h/2,
-    t_k + h); each stage then runs the tape of the right-hand side on
-    Python floats at the state, the parameters and the stage's input
-    values.  Raises SimulationError with the first offending time if a
-    stage or the state leaves the finite range.
+    when the realization has no inputs.  The input is evaluated once,
+    vectorised on the step starts, midpoints and ends together; one
+    compiled kernel per right-hand side then runs every step on Python
+    floats, and the outputs after them.  Raises SimulationError with
+    the first offending time if a stage or the state leaves the finite
+    range, and EvaluationError if an output has no finite value.
     """
     if steps < 1:
         raise ValueError("RK4 needs at least one step")
-    m = realization.n_inputs
-    params = list(realization.params)
-    rhs = _tape(_right_hand_side(realization))
-    out_tape = _tape(realization.outputs)
-
+    kernel = _compiled("rk4", realization, lambda rhs: _rk4_kernel(realization, rhs))
     h = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
     starts = times[:-1]
-    if m:
-        u_start, u_mid, u_end = (
-            u.eval(grid).T.tolist() for grid in (starts, starts + 0.5 * h, starts + h)
-        )
-    else:
-        u_start = u_mid = u_end = [[]] * steps
-
-    # operation order z + (0.5 * h) * k1 and z + (h / 6) * (k1 + 2 k2 +
-    # 2 k3 + k4), element by element: the states are bit-identical to
-    # the vector form of the same steps
-    half = 0.5 * h
-    sixth = h / 6.0
-    z = list(realization.z0)
-    states = [z]
-    for k in range(steps):
-        try:
-            k1 = rhs(z + params + u_start[k])
-            k2 = rhs([a + half * b for a, b in zip(z, k1)] + params + u_mid[k])
-            k3 = rhs([a + half * b for a, b in zip(z, k2)] + params + u_mid[k])
-            k4 = rhs([a + h * b for a, b in zip(z, k3)] + params + u_end[k])
-        except EvaluationError:
-            raise SimulationError(times[k + 1]) from None
-        z = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)
-        ]
-        if not all(map(math.isfinite, z)):
-            raise SimulationError(times[k + 1])
-        states.append(z)
-    outputs = np.array([out_tape(s + params) for s in states])
-    return Trajectory(times=times, states=np.array(states), outputs=outputs)
+    grid = np.concatenate((starts, starts + 0.5 * h, starts + h))
+    inputs = u.eval(grid).T.tolist() if realization.n_inputs else [()] * grid.size
+    states, outputs = kernel(realization.z0, realization.params, inputs, times, h)
+    return Trajectory(times=times, states=np.array(states), outputs=np.array(outputs))
 
 
 def taylor_outputs(realization, u, degree):
@@ -488,7 +574,9 @@ def taylor_outputs(realization, u, degree):
     for ui in u:
         coeffs = [float(c) / math.factorial(k) for k, c in enumerate(ui[: degree + 1])]
         known.append(coeffs + [0.0] * (degree + 1 - len(coeffs)))
-    tape = _jet_tape(_right_hand_side(realization) + realization.outputs, n + len(known))
+    tape = _compiled(
+        "jet", realization, lambda rhs: symexpr.JetTape(rhs + realization.outputs, n + len(known))
+    )
     jets, slots = tape.fresh(), tape.slots
     jets[n : n + len(known)] = known
     for s, v in enumerate(realization.z0):

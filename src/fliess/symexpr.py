@@ -354,8 +354,8 @@ def topological(exprs):
     """Every node under exprs once, each after its arguments.
 
     The order is the post-order of a depth-first walk that visits
-    arguments in order, computed without recursion.  Both emitters,
-    JetTape and SlotTape, consume this walk.
+    arguments in order, computed without recursion.  The emitters,
+    JetTape, SlotTape and the RK4 kernel, consume this walk.
     """
     order = []
     seen = set()
@@ -601,7 +601,7 @@ class JetTape:
             raise EvaluationError(f"non-finite value in a Taylor jet at order {k}")
 
 
-def _rhs(e, args):
+def node_source(e, args):
     """Python source of one node's value from its arguments' source."""
     k = e.kind
     if k == ADD:
@@ -654,7 +654,7 @@ class SlotTape:
             template.append(e.value if e.kind == CONST else 0.0)
             if e.kind == CONST:
                 continue
-            lines.append(f"    s[{slots[e]}] = {_rhs(e, [f's[{slots[a]}]' for a in e.args])}")
+            lines.append(f"    s[{slots[e]}] = {node_source(e, [f's[{slots[a]}]' for a in e.args])}")
             if len(lines) == self.CHUNK:
                 self._chunks.append(self._compile(lines))
                 lines = []

@@ -31,6 +31,7 @@ Lie-derivative table per series degree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -105,26 +106,30 @@ def car_realization(init, params=CarParams()):
     )
 
 
-def augmented_realization(init, params=CarParams()):
-    """Five-state dynamic extension; inputs (u2, speed rate), letters (x1, x2)."""
-    if isinstance(init, SectionInit):
-        init = init.as_tuple()
+@functools.cache
+def _extended_model():
+    """The extension's fields and outputs, built once for every CarParams."""
     z3, z4, z5 = var(2), var(3), var(4)
     angle = z3 + z4
-    g0 = [
+    g0 = (
         mul(z5, cos(angle)),
         mul(z5, sin(angle)),
         mul(z5, _heading_rate_expr(5)),
         symexpr.ZERO,
         symexpr.ZERO,
-    ]
-    g1 = [symexpr.ZERO, symexpr.ZERO, symexpr.ZERO, symexpr.ONE, symexpr.ZERO]
-    g2 = [symexpr.ZERO, symexpr.ZERO, symexpr.ZERO, symexpr.ZERO, symexpr.ONE]
+    )
+    g1 = (symexpr.ZERO, symexpr.ZERO, symexpr.ZERO, symexpr.ONE, symexpr.ZERO)
+    g2 = (symexpr.ZERO, symexpr.ZERO, symexpr.ZERO, symexpr.ZERO, symexpr.ONE)
+    return (g0, g1, g2), (var(0), var(1))
+
+
+def augmented_realization(init, params=CarParams()):
+    """Five-state dynamic extension; inputs (u2, speed rate), letters (x1, x2)."""
+    if isinstance(init, SectionInit):
+        init = init.as_tuple()
+    fields, outputs = _extended_model()
     return Realization(
-        fields=[g0, g1, g2],
-        outputs=[var(0), var(1)],
-        z0=tuple(init),
-        params=(params.length, params.k),
+        fields=fields, outputs=outputs, z0=tuple(init), params=(params.length, params.k)
     )
 
 

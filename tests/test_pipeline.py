@@ -166,6 +166,21 @@ class TestBoundedCaches:
         assert all(size > 0 for size in sizes[0])
         assert set(sizes) == {sizes[0]}
 
+    def test_a_warm_section_builds_no_node_and_no_cache_entry(self, monkeypatch):
+        # the car's fields, its right-hand side and the compiled kernels
+        # are built once per structure, not per start state or gain
+        section, cfg = curved_section(), fast_cfg()
+        run_section(section, section.init, cfg)
+        caches = (fliess.realization._COMPILED, fliess.realization._TABLE_CACHE)
+        sizes = [len(cache) for cache in caches]
+        built = []
+        intern = se._intern
+        monkeypatch.setattr(se, "_intern", lambda *args: built.append(args) or intern(*args))
+        init = dataclasses.replace(section.init, z1=section.init.z1 + 0.5, z2=section.init.z2 - 0.25)
+        run_section(section, init, dataclasses.replace(cfg, params=fliess.CarParams(k=-0.613)))
+        assert built == []
+        assert [len(cache) for cache in caches] == sizes
+
 
 class TestIdentityGate:
     """The gate integrates the realization; it does not trust the series."""
@@ -542,7 +557,7 @@ class TestCli:
         assert err == f"error: total time {float(total_time):g} is outside the range the fit can scale\n"
         assert not (tmp_path / "o").exists()
 
-    def test_exit_code_1_for_zero_steps(self, tmp_path, capsys):
+    def test_exit_code_2_for_zero_steps(self, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"
         self.write_inputs(inputs)
         m = tmp_path / "map.json"
@@ -551,9 +566,8 @@ class TestCli:
             ["simulate", "--inputs", str(inputs), "--out", str(tmp_path / "traj.csv")],
             ["pipeline", "--map", str(m), "--outdir", str(tmp_path / "run")],
         ):
-            assert main(argv + ["--steps", "0"]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert main(argv + ["--steps", "0"]) == 2
+            assert capsys.readouterr().err == "error: need at least one RK4 step per section\n"
 
     @pytest.mark.parametrize(
         "command,extra,code,message",
@@ -564,8 +578,8 @@ class TestCli:
             ("pipeline", ["--step", "nan"], 2, "RRT step must be positive and finite"),
             ("pipeline", ["--goal-bias", "nan"], 2, "goal bias must lie in [0, 1]"),
             ("pipeline", ["--margin", "nan"], 2, "margin must be non-negative and finite"),
-            ("pipeline", ["--arrival-tol", "nan"], 1, "arrival tolerance must be non-negative"),
-            ("pipeline", ["--arrival-tol", "-1"], 1, "arrival tolerance must be non-negative"),
+            ("pipeline", ["--arrival-tol", "nan"], 2, "arrival tolerance must be non-negative"),
+            ("pipeline", ["--arrival-tol", "-1"], 2, "arrival tolerance must be non-negative"),
             ("plan", ["--step", "0"], 2, "RRT step must be positive and finite"),
             ("plan", ["--step", "inf"], 2, "RRT step must be positive and finite"),
             ("plan", ["--goal-bias", "1.5"], 2, "goal bias must lie in [0, 1]"),
@@ -577,6 +591,9 @@ class TestCli:
             ("pipeline", ["--k", "nan"], 2, "rear-steer gain k must be finite, got nan"),
             ("plan", ["--max-iters", "-5"], 2, "max iterations must be non-negative, got -5"),
             ("pipeline", ["--max-iters", "-5"], 2, "max iterations must be non-negative, got -5"),
+            ("pipeline", ["--sections", "0"], 2, "need a positive section count"),
+            ("pipeline", ["--series-degree", "5"], 2, "series_degree must be at least"),
+            ("pipeline", ["--inversion-degree", "0"], 2, "inversion degree must be positive"),
         ],
     )
     def test_bad_planner_inputs_fail_up_front(self, tmp_path, capsys, command, extra, code, message):
@@ -677,6 +694,10 @@ class TestCli:
                 map_doc(obstacles=[{"type": "circle", "center": [], "radius": 1}]),
                 id="map-center-empty",
             ),
+            pytest.param("map", map_doc(start=[1, 1, 99]), id="map-start-three-numbers"),
+            pytest.param("map", map_doc(goal=[9, 9, 0]), id="map-goal-three-numbers"),
+            pytest.param("path", {"points": [[0, 0], [], [2, 1]]}, id="path-point-empty"),
+            pytest.param("path", {"points": [[0, 0], [1, 0.5, 5], [2, 1]]}, id="path-point-three-numbers"),
         ],
     )
     def test_exit_code_2_for_malformed_documents(self, tmp_path, capsys, command, document):

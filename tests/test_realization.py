@@ -329,6 +329,26 @@ class TestRk4AgainstLiteral:
                 simulate(r, None, 1.0, 10)
             assert info.value.time == np.linspace(0.0, 1.0, 11)[1]
 
+    def test_infinite_node_under_a_finite_stage_maps_to_step_end(self):
+        # 1e308 * z1 overflows, and 1 over it is a finite 0.0 stage value
+        z1 = se.var(0)
+        r = Realization(fields=[[se.ONE / (1e308 * z1)]], outputs=[z1], z0=(10.0,))
+        for simulate in (rk4_simulate, literal_rk4_simulate):
+            with pytest.raises(SimulationError, match="non-finite state at t=0.1") as info:
+                simulate(r, None, 1.0, 10)
+            assert info.value.time == np.linspace(0.0, 1.0, 11)[1]
+
+    @pytest.mark.parametrize("output", ["reciprocal", "overflow"])
+    def test_output_without_a_finite_value_is_an_evaluation_error(self, output):
+        # the state stays at 0, where 1/z1 divides by zero and
+        # 1e308 * (z1 + 10) overflows: no step fails, the output does
+        z1 = se.var(0)
+        y = {"reciprocal": se.ONE / z1, "overflow": 1e308 * (z1 + 10.0)}[output]
+        r = Realization(fields=[[se.ZERO]], outputs=[y], z0=(0.0,))
+        for simulate in (rk4_simulate, literal_rk4_simulate):
+            with pytest.raises(EvaluationError):
+                simulate(r, None, 1.0, 10)
+
 
 class TestSimulation:
     def test_rk4_fourth_order_convergence(self):
