@@ -114,6 +114,9 @@ def cmd_spline(args):
 def cmd_invert(args):
     from fliess.realization import generating_series
 
+    # the pipeline's rule for the two degrees, before any section runs
+    degrees = dict(inversion_degree=args.inversion_degree, series_degree=args.series_degree)
+    PipelineConfig(**degrees).validate()
     spline = load_spline(args.spline)
     params = _car_params(args)
     out_sections = []

@@ -374,7 +374,7 @@ def rrt_plan(
     within step of a new node.  Raises PlanningError when max_iters
     extensions never reach the goal, and up front for a step that is
     not positive and finite, a goal bias outside [0, 1], a negative
-    max_iters or a bad margin.
+    max_iters or seed, or a bad margin.
     """
     if not 0.0 < step < math.inf:
         raise PlanningError(f"RRT step must be positive and finite, got {step}")
@@ -382,6 +382,7 @@ def rrt_plan(
         raise PlanningError(f"goal bias must lie in [0, 1], got {goal_bias}")
     if max_iters < 0:
         raise PlanningError(f"max iterations must be non-negative, got {max_iters}")
+    _check_seed(seed)
     _check_margin(margin)
     obstacle_map.validate(margin)
     rng = np.random.default_rng(seed)
@@ -444,13 +445,22 @@ def _check_margin(margin):
         raise PlanningError(f"margin must be non-negative and finite, got {margin}")
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise PlanningError(f"seed must be non-negative, got {seed}")
+
+
 def smooth_path(path, obstacle_map, seed=0, passes=200, margin=0.0):
     """Seeded shortcut smoothing; endpoints are preserved.
 
     Each pass picks two non-adjacent waypoints and splices them with a
     straight segment when that segment is collision-free, so the
-    result stays collision-free by construction.
+    result stays collision-free by construction.  Raises PlanningError
+    up front for a negative seed or pass count, or a bad margin.
     """
+    if passes < 0:
+        raise PlanningError(f"smoothing passes must be non-negative, got {passes}")
+    _check_seed(seed)
     _check_margin(margin)
     pts = [tuple(p) for p in path]
     if len(pts) < 3:

@@ -35,9 +35,10 @@ field set.  The ground-truth simulator is fixed-step classical
 Runge-Kutta: it evaluates the input once on the step starts,
 midpoints and ends, then runs every step on plain floats in one
 function compiled per right-hand side, with the nodes as named
-locals.  Under polynomial inputs, Taylor-mode
-integration of the same right-hand side (a cached JetTape) gives the
-output's Taylor coefficients at the initial state without the series.
+locals.  Under polynomial inputs, Taylor-mode integration of the same
+right-hand side gives the output's Taylor coefficients at the initial
+state without the series, in one function compiled per right-hand side
+and degree through the same emitter.
 """
 
 from __future__ import annotations
@@ -396,7 +397,8 @@ def _right_hand_side(realization):
 
 
 # what the integrators compile from a right-hand side, keyed by (kind,
-# fields, outputs, parameter count), which fix the right-hand side:
+# fields, outputs, parameter count), which fix the right-hand side (the
+# jets' kind carries their degree):
 # interned nodes hash by identity, and the key keeps them alive
 _COMPILED = {}
 
@@ -408,58 +410,6 @@ def _compiled(kind, realization, build):
     if hit is None:
         hit = _COMPILED[key] = build(_right_hand_side(realization))
     return hit
-
-
-def _emit(exprs, var_names, suffix, consts):
-    """Source lines that evaluate exprs, one local per node in topological order.
-
-    var_names[i] names variable i, suffix tells these node locals from
-    another evaluation's, and consts maps each constant node to its
-    local.  Returns the lines, the names of the values of exprs, and
-    the names of every value a SlotTape of exprs holds: the variables
-    up to the last one read, the constants and the nodes.
-    """
-    order = symexpr.topological(exprs)
-    n_vars = 1 + max((e.value for e in order if e.kind == symexpr.VAR), default=-1)
-    names, lines, held = {}, [], var_names[:n_vars]
-    for e in order:
-        if e.kind == symexpr.VAR:
-            names[e] = var_names[e.value]
-            continue
-        if e.kind == symexpr.CONST:
-            names[e] = consts.setdefault(e, f"c{len(consts)}")
-        else:
-            names[e] = f"t{len(lines)}{suffix}"
-            lines.append(f"{names[e]} = {symexpr.node_source(e, [names[a] for a in e.args])}")
-        held.append(names[e])
-    return lines, [names[e] for e in exprs], held
-
-
-def _tuple(names):
-    """Source of a tuple of names, for any number of them, also as an assignment target."""
-    return "(" + "".join(f"{x}, " for x in names) + ")"
-
-
-def _finite_check(names, fail):
-    """SlotTape's check of the named values: one sum, then value by value."""
-    if not names:
-        return []
-    return [
-        f"if not _isfinite({' + '.join(names)}) and not all(map(_isfinite, {_tuple(names)})):",
-        f"    {fail}",
-    ]
-
-
-def _guarded(lines, fail):
-    """lines, with what a tape entry raises mapped to fail."""
-    if not lines:
-        return []
-    return [
-        "try:",
-        *(f"    {line}" for line in lines),
-        "except (ZeroDivisionError, OverflowError, ValueError):",
-        f"    {fail} from None",
-    ]
 
 
 def _rk4_kernel(realization, rhs):
@@ -483,48 +433,46 @@ def _rk4_kernel(realization, rhs):
     stages = (("", "", None), ("_2", "_m", "half"), ("_3", "_m", "half"), ("_4", "_e", "h"))
     for s, grid, factor in stages:
         names = [f"z{i}{s}" for i in range(n)] + params + [f"u{j}{grid}" for j in range(m)]
-        lines, k, held = _emit(rhs, names, s, consts)
+        lines, k, held = symexpr.emit(rhs, names, s, consts)
         if factor:
             step += [f"z{i}{s} = z{i} + {factor} * {ks[-1][i]}" for i in range(n)]
-        step += lines + _finite_check(held, fail)
+        step += lines + symexpr.finite_check(held, fail)
         ks.append(k)
-    out_lines, ys, out_held = _emit(realization.outputs, state + params, "_y", consts)
-    source = [
-        "def _kernel(z, params, inputs, times, h):",
-        "    steps = len(times) - 1",
-        "    half = 0.5 * h",
-        "    sixth = h / 6.0",
-        f"    {_tuple(state)} = z",
-        f"    {_tuple(params)} = params",
-        f"    {_tuple(consts.values())} = _consts",
-        "    states = [z]",
-        "    for k in range(steps):",
-        f"        {_tuple(f'u{j}' for j in range(m))} = inputs[k]",
-        f"        {_tuple(f'u{j}_m' for j in range(m))} = inputs[k + steps]",
-        f"        {_tuple(f'u{j}_e' for j in range(m))} = inputs[k + 2 * steps]",
-        *(f"        {line}" for line in _guarded(step, fail)),
+    out_lines, ys, out_held = symexpr.emit(realization.outputs, state + params, "_y", consts)
+    tup = symexpr.tuple_source
+    body = [
+        "steps = len(times) - 1",
+        "half = 0.5 * h",
+        "sixth = h / 6.0",
+        f"{tup(state)} = z",
+        f"{tup(params)} = params",
+        f"{tup(consts.values())} = _consts",
+        "states = [z]",
+        "for k in range(steps):",
+        f"    {tup(f'u{j}' for j in range(m))} = inputs[k]",
+        f"    {tup(f'u{j}_m' for j in range(m))} = inputs[k + steps]",
+        f"    {tup(f'u{j}_e' for j in range(m))} = inputs[k + 2 * steps]",
+        *(f"    {line}" for line in symexpr.guarded(step, fail)),
         *(
-            f"        {z} = {z} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+            f"    {z} = {z} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
             for z, a, b, c, d in zip(state, *ks)
         ),
-        *(f"        {line}" for line in _finite_check(state, fail)),
-        f"        states.append({_tuple(state)})",
-        "    ys = []",
-        f"    for {_tuple(state)} in states:",
-        *(f"        {line}" for line in _guarded(out_lines, no_output)),
-        *(f"        {line}" for line in _finite_check(out_held, no_output)),
-        f"        ys.append({_tuple(ys)})",
-        "    return states, ys",
+        *(f"    {line}" for line in symexpr.finite_check(state, fail)),
+        f"    states.append({tup(state)})",
+        "ys = []",
+        f"for {tup(state)} in states:",
+        *(f"    {line}" for line in symexpr.guarded(out_lines, no_output)),
+        *(f"    {line}" for line in symexpr.finite_check(out_held, no_output)),
+        f"    ys.append({tup(ys)})",
+        "return states, ys",
     ]
-    scope = {
-        "_math": math,
-        "_isfinite": math.isfinite,
-        "_consts": tuple(e.value for e in consts),
-        "_SimulationError": SimulationError,
-        "_EvaluationError": EvaluationError,
-    }
-    exec(compile("\n".join(source) + "\n", "<fliess-rk4>", "exec"), scope)
-    return scope["_kernel"]
+    return symexpr.compiled_function(
+        "z, params, inputs, times, h",
+        body,
+        _consts=tuple(consts),
+        _SimulationError=SimulationError,
+        _EvaluationError=EvaluationError,
+    )
 
 
 def rk4_simulate(realization, u, horizon, steps):
@@ -551,6 +499,39 @@ def rk4_simulate(realization, u, horizon, steps):
     return Trajectory(times=times, states=np.array(states), outputs=np.array(outputs))
 
 
+def _taylor_kernel(realization, rhs, degree):
+    """One compiled function that runs Taylor-mode integration of dz/dt = rhs through t^degree.
+
+    kernel(z0, known) returns the output jets; known[i] is the whole
+    jet of variable n + i (the parameters', then the inputs').  Order k
+    sets coefficient k of every jet, checks them as a SlotTape checks
+    its slots, then sets z_{k+1} = [rhs]_k / (k+1).  Raises
+    EvaluationError on a zero denominator, a zero base with a negative
+    exponent, or a non-finite coefficient.
+    """
+    n = realization.n_states
+    n_vars = n + len(realization.params) + realization.n_inputs
+    var_jets = [[f"v{i}_{k}" for k in range(degree + 1)] for i in range(n_vars)]
+    consts = {}
+    steps, roots, every = symexpr.jet_steps(rhs + realization.outputs, var_jets, degree, consts)
+    tup = symexpr.tuple_source
+    body = [
+        f"{tup(jet[0] for jet in var_jets[:n])} = z",
+        *(f"{tup(jet)} = known[{i}]" for i, jet in enumerate(var_jets[n:])),
+        f"{tup(consts.values())} = _consts",
+    ]
+    for k in range(degree + 1):
+        fail = f"raise _EvaluationError('non-finite value in a Taylor jet at order {k}')"
+        lines = [line for step in steps for line in symexpr.coefficient_source(*step, k)]
+        body += symexpr.guarded(lines, fail) + symexpr.finite_check([jet[k] for jet in every], fail)
+        if k < degree:
+            body += [f"{var_jets[s][k + 1]} = {roots[s][k]} / {k + 1}" for s in range(n)]
+    body.append(f"return {tup(tup(jet) for jet in roots[n:])}")
+    return symexpr.compiled_function(
+        "z, known", body, _consts=tuple(consts), _EvaluationError=EvaluationError
+    )
+
+
 def taylor_outputs(realization, u, degree):
     """Output Taylor coefficients through t^degree under polynomial inputs.
 
@@ -560,34 +541,25 @@ def taylor_outputs(realization, u, degree):
     give coefficient k of dz/dt = g0(z) + sum_i g_i(z) u_i(t), so
     z_{k+1} = [dz/dt]_k / (k+1).  The parameters' jets are constant and
     the inputs' jets are their normalised coefficients, both set whole
-    before the first step.  The truncated generating series of the
-    same degree gives these coefficients exactly, so both agree up to
-    rounding.  Returns an (ell, degree+1) array in series convention
+    before one compiled kernel per right-hand side and degree runs
+    every order.  The truncated generating series of the same degree
+    gives these coefficients exactly, so both agree up to rounding.
+    Returns an (ell, degree+1) array in series convention
     (row j holds y_j^(k)(0)).  Raises EvaluationError when a jet meets
     a zero denominator, a zero base with a negative exponent, or a
     non-finite value.
     """
-    n, m = realization.n_states, realization.n_inputs
-    if len(u) != m:
-        raise ValueError(f"need {m} input expansions, got {len(u)}")
+    if len(u) != realization.n_inputs:
+        raise ValueError(f"need {realization.n_inputs} input expansions, got {len(u)}")
     known = [[p] + [0.0] * degree for p in realization.params]
     for ui in u:
         coeffs = [float(c) / math.factorial(k) for k, c in enumerate(ui[: degree + 1])]
         known.append(coeffs + [0.0] * (degree + 1 - len(coeffs)))
-    tape = _compiled(
-        "jet", realization, lambda rhs: symexpr.JetTape(rhs + realization.outputs, n + len(known))
+    kernel = _compiled(
+        ("jet", degree), realization, lambda rhs: _taylor_kernel(realization, rhs, degree)
     )
-    jets, slots = tape.fresh(), tape.slots
-    jets[n : n + len(known)] = known
-    for s, v in enumerate(realization.z0):
-        jets[s].append(v)
-    for k in range(degree + 1):
-        tape.step(jets, k)
-        if k == degree:
-            break
-        for s in range(n):
-            jets[s].append(jets[slots[s]][k] / (k + 1))
-    out = [[c * math.factorial(k) for k, c in enumerate(jets[slot])] for slot in slots[n:]]
+    jets = kernel(realization.z0, known)
+    out = [[c * math.factorial(k) for k, c in enumerate(jet)] for jet in jets]
     if not all(math.isfinite(c) for row in out for c in row):
         raise EvaluationError("non-finite output Taylor coefficient")
     return np.array(out)

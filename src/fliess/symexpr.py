@@ -354,8 +354,10 @@ def topological(exprs):
     """Every node under exprs once, each after its arguments.
 
     The order is the post-order of a depth-first walk that visits
-    arguments in order, computed without recursion.  The emitters,
-    JetTape, SlotTape and the RK4 kernel, consume this walk.
+    arguments in order, computed without recursion.  Its consumers are
+    the generated evaluators (SlotTape, emit for the RK4 kernel,
+    jet_steps for the Taylor-mode kernel) and the realization's check
+    of the variables its expressions read.
     """
     order = []
     seen = set()
@@ -428,177 +430,22 @@ def evaluate(e, z, memo=None):
 
 
 # ---------------------------------------------------------------------------
-# Taylor-mode evaluation
+# generated evaluators
 #
-# A jet is the list of normalized Taylor coefficients x_0, x_1, ... of
-# x(t) = sum_k x_k t^k.  Each rule appends coefficient k of its node
-# from coefficients 0..k of its arguments and 0..k-1 of its own jets.
+# SlotTape, the RK4 kernel and the Taylor-mode kernel are straight-line
+# Python emitted from one topological walk of the expression DAG, and
+# they compile through compiled_function only.
 
 
-def _jet_const(jets, out, args, value, k):
-    jets[out].append(value if k == 0 else 0.0)
+def compiled_function(params, body, **scope):
+    """The function ``def _f(params)`` whose body is the source lines body.
 
-
-def _jet_add(jets, out, args, _, k):
-    jets[out].append(sum(jets[a][k] for a in args))
-
-
-def _jet_scale(jets, out, args, factor, k):
-    jets[out].append(factor * jets[args[0]][k])
-
-
-def _jet_mul(jets, out, args, _, k):
-    a, b = jets[args[0]], jets[args[1]]
-    jets[out].append(sum(a[j] * b[k - j] for j in range(k + 1)))
-
-
-def _jet_div(jets, out, args, _, k):
-    # q b = a, solved for q_k
-    a, b, q = jets[args[0]], jets[args[1]], jets[out]
-    if b[0] == 0.0:
-        raise EvaluationError("zero denominator in a Taylor jet")
-    q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0])
-
-
-def _jet_pow(jets, out, args, n, k):
-    # negative n; p' a = n a' p gives k a_0 p_k = sum_{j=1..k} ((n+1) j - k) a_j p_{k-j}
-    a, p = jets[args[0]], jets[out]
-    if k == 0:
-        if a[0] == 0.0:
-            raise EvaluationError("zero base with negative exponent in a Taylor jet")
-        p.append(a[0] ** n)
-    else:
-        p.append(sum(((n + 1) * j - k) * a[j] * p[k - j] for j in range(1, k + 1)) / (k * a[0]))
-
-
-def _jet_sincos(jets, out, args, cos_slot, k):
-    # s' = c a', c' = -s a'
-    a, s, c = jets[args[0]], jets[out], jets[cos_slot]
-    if k == 0:
-        s.append(math.sin(a[0]))
-        c.append(math.cos(a[0]))
-    else:
-        s.append(sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k)
-        c.append(-sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k)
-
-
-def _jet_tan(jets, out, args, sq_slot, k):
-    # t' = v a' with v = 1 + t^2
-    a, t, v = jets[args[0]], jets[out], jets[sq_slot]
-    if k == 0:
-        t.append(math.tan(a[0]))
-        v.append(1.0 + t[0] * t[0])
-    else:
-        t.append(sum(j * a[j] * v[k - j] for j in range(1, k + 1)) / k)
-        v.append(sum(t[j] * t[k - j] for j in range(k + 1)))
-
-
-class JetTape:
-    """Taylor-mode automatic differentiation of expressions along a state jet.
-
-    The nodes under ``exprs`` form one topologically ordered tape (see
-    Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).  The
-    tape holds the program only, so one tape serves any number of
-    expansions: ``fresh()`` gives a list of empty jets, ``jets[slot]``
-    being the coefficient list of one node.  The first n_vars slots are
-    the variables' jets, which the caller fills: every variable's jet
-    must hold coefficient k before ``step(jets, k)``, whether the caller
-    extends it as it goes (a state) or sets it whole in advance (a
-    constant parameter, a known input).  ``slots[i]`` is the slot of
-    ``exprs[i]``.  Products and positive integer powers are split into
-    binary Cauchy products, negative powers take the power recurrence,
-    sin and cos of one argument share a rule, and tan carries 1 + tan^2
-    in a slot of its own.
+    Its globals are scope plus _math and _isfinite.
     """
-
-    def __init__(self, exprs, n_vars):
-        self.n_vars = n_vars
-        self.n_slots = n_vars
-        self._code = []  # (rule, out slot, argument slots, parameter)
-        self._slots = {}
-        self._trig = {}  # argument slot -> (sin slot, cos slot)
-        exprs = [_coerce(e) for e in exprs]
-        for e in topological(exprs):
-            if e.kind != CONST:
-                self._slots[e] = self._emit(e)
-        self.slots = [self._arg(e) for e in exprs]
-
-    def _slot(self):
-        self.n_slots += 1
-        return self.n_slots - 1
-
-    def _new(self, rule, args, param=None):
-        out = self._slot()
-        self._code.append((rule, out, args, param))
-        return out
-
-    def _arg(self, e):
-        """The slot of an emitted node; a constant gets one at its first use
-        outside a product, where it folds into the factor instead."""
-        slot = self._slots.get(e)
-        if slot is None:
-            slot = self._slots[e] = self._new(_jet_const, (), e.value)
-        return slot
-
-    def _emit(self, e):
-        """The slot of a non-constant node whose arguments have theirs."""
-        k = e.kind
-        if k == VAR:
-            if e.value >= self.n_vars:
-                raise ValueError(f"variable z{e.value + 1} outside the jet's {self.n_vars} variables")
-            return e.value
-        if k == ADD:
-            return self._new(_jet_add, tuple(self._arg(a) for a in e.args))
-        if k == MUL:
-            factor = 1.0
-            slot = None
-            for a in e.args:
-                if a.kind == CONST:
-                    factor *= a.value
-                    continue
-                a_slot = self._arg(a)
-                slot = a_slot if slot is None else self._new(_jet_mul, (slot, a_slot))
-            if factor != 1.0:
-                slot = self._new(_jet_scale, (slot,), factor)
-            return slot
-        if k == DIV:
-            return self._new(_jet_div, (self._arg(e.args[0]), self._arg(e.args[1])))
-        if k == POW and e.value > 0:
-            base = self._arg(e.args[0])
-            slot = base
-            for _ in range(e.value - 1):
-                slot = self._new(_jet_mul, (slot, base))
-            return slot
-        if k == POW:
-            return self._new(_jet_pow, (self._arg(e.args[0]),), e.value)
-        if k in (SIN, COS):
-            arg = self._arg(e.args[0])
-            pair = self._trig.get(arg)
-            if pair is None:
-                cos_slot = self._slot()
-                pair = (self._new(_jet_sincos, (arg,), cos_slot), cos_slot)
-                self._trig[arg] = pair
-            return pair[0] if k == SIN else pair[1]
-        return self._new(_jet_tan, (self._arg(e.args[0]),), self._slot())
-
-    def fresh(self):
-        """One empty jet per slot."""
-        return [[] for _ in range(self.n_slots)]
-
-    def step(self, jets, k):
-        """Append coefficient k to every node's jet in jets.
-
-        The variables' jets must already hold coefficient k.  Raises
-        EvaluationError on a zero denominator, a zero base with a
-        negative exponent, or a non-finite coefficient.
-        """
-        try:
-            for rule, out, args, param in self._code:
-                rule(jets, out, args, param, k)
-        except (OverflowError, ValueError):
-            raise EvaluationError(f"non-finite value in a Taylor jet at order {k}") from None
-        if not all(math.isfinite(jet[k]) for jet in jets):
-            raise EvaluationError(f"non-finite value in a Taylor jet at order {k}")
+    source = f"def _f({params}):\n" + "".join(f"    {line}\n" for line in body)
+    scope.update(_math=math, _isfinite=math.isfinite)
+    exec(compile(source, "<fliess-generated>", "exec"), scope)
+    return scope["_f"]
 
 
 def node_source(e, args):
@@ -613,6 +460,178 @@ def node_source(e, args):
     if k == POW:
         return f"{args[0]} ** {e.value}"
     return f"_math.{k}({args[0]})"
+
+
+def emit(exprs, var_names, suffix, consts):
+    """Source lines that evaluate exprs, one local per node in topological order.
+
+    var_names[i] names variable i, suffix tells these node locals from
+    another evaluation's, and consts maps each constant value to its
+    local.  Returns the lines, the names of the values of exprs, and
+    the names of every value a SlotTape of exprs holds: the variables
+    up to the last one read, the constants and the nodes.
+    """
+    order = topological(exprs)
+    n_vars = 1 + max((e.value for e in order if e.kind == VAR), default=-1)
+    names, lines, held = {}, [], var_names[:n_vars]
+    for e in order:
+        if e.kind == VAR:
+            names[e] = var_names[e.value]
+            continue
+        if e.kind == CONST:
+            names[e] = consts.setdefault(e.value, f"c{len(consts)}")
+        else:
+            names[e] = f"t{len(lines)}{suffix}"
+            lines.append(f"{names[e]} = {node_source(e, [names[a] for a in e.args])}")
+        held.append(names[e])
+    return lines, [names[e] for e in exprs], held
+
+
+def tuple_source(names):
+    """Source of a tuple of names, for any number of them, also as an assignment target."""
+    return "(" + "".join(f"{x}, " for x in names) + ")"
+
+
+def finite_check(names, fail):
+    """SlotTape's check of the named values: one sum, then value by value."""
+    if not names:
+        return []
+    return [
+        f"if not _isfinite({' + '.join(names)}) and not all(map(_isfinite, {tuple_source(names)})):",
+        f"    {fail}",
+    ]
+
+
+def guarded(lines, fail):
+    """lines, with what a tape entry raises mapped to fail."""
+    if not lines:
+        return []
+    return [
+        "try:",
+        *(f"    {line}" for line in lines),
+        "except (ZeroDivisionError, OverflowError, ValueError):",
+        f"    {fail} from None",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Taylor-mode source
+#
+# A jet is the list of the local names of the normalized Taylor
+# coefficients x_0, x_1, ... of x(t) = sum_k x_k t^k (Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., ch. 13).
+
+
+def _sum(terms):
+    """Source of sum(terms): from the int 0, left to right, as sum() adds."""
+    return " + ".join(["0", *terms])
+
+
+def _weighted(a, b, k):
+    """Source of sum(j * a[j] * b[k - j] for j in range(1, k + 1))."""
+    return _sum(f"{j} * {a[j]} * {b[k - j]}" for j in range(1, k + 1))
+
+
+def jet_steps(exprs, var_jets, degree, consts):
+    """The steps that fill the jets, through coefficient degree, of every node under exprs.
+
+    var_jets[i] is variable i's jet; consts maps each constant value to
+    its local, and a constant's jet is its local, then zeros.  Products
+    are binary Cauchy products with one scale for their constant
+    factors, positive integer powers are repeated products, sin and cos
+    of one argument share a pair of jets, and tan carries 1 + tan^2.
+    Returns the steps (kind, output jets, argument jets, parameter) in
+    an order that runs each after its arguments', the jets of exprs,
+    and every jet, the variables' first.
+    """
+    jets, trig, steps, every = {}, {}, [], list(var_jets)
+
+    def new(kind, args, param=None, width=1):
+        outs = [[f"t{len(every) + i}_{k}" for k in range(degree + 1)] for i in range(width)]
+        every.extend(outs)
+        steps.append((kind, outs, args, param))
+        return outs
+
+    def jet(e):
+        """A node's jet; a constant gets one at its first use outside a product."""
+        if e not in jets:
+            jets[e] = [consts.setdefault(e.value, f"c{len(consts)}")] + ["0.0"] * degree
+            every.append(jets[e])
+        return jets[e]
+
+    for e in topological(exprs):
+        k = e.kind
+        if k == CONST:
+            continue
+        if k == VAR:
+            out = var_jets[e.value]
+        elif k in (ADD, DIV):
+            out = new(k, [jet(a) for a in e.args])[0]
+        elif k == MUL:
+            factor, out = 1.0, None
+            for a in e.args:
+                if a.kind == CONST:
+                    factor *= a.value
+                else:
+                    out = jet(a) if out is None else new(MUL, [out, jet(a)])[0]
+            if factor != 1.0:
+                out = new("scale", [out], consts.setdefault(factor, f"c{len(consts)}"))[0]
+        elif k == POW and e.value > 0:
+            out = base = jet(e.args[0])
+            for _ in range(e.value - 1):
+                out = new(MUL, [out, base])[0]
+        elif k == POW:
+            out = new(POW, [jet(e.args[0])], e.value)[0]
+        elif k == TAN:
+            out = new(TAN, [jet(e.args[0])], width=2)[0]
+        else:
+            if e.args[0] not in trig:
+                trig[e.args[0]] = new("sincos", [jet(e.args[0])], width=2)
+            out = trig[e.args[0]][k == COS]
+        jets[e] = out
+    return steps, [jet(e) for e in exprs], every
+
+
+def coefficient_source(kind, outs, args, param, k):
+    """Source lines that set coefficient k of one step's output jets.
+
+    They read coefficients 0..k of the argument jets and 0..k-1 of the
+    output jets.  A quotient checks its denominator, and a negative
+    power its base, once, at order 0, and raise EvaluationError.
+    """
+    o, a = outs[0], args[0]
+    if kind == ADD:
+        return [f"{o[k]} = {_sum(x[k] for x in args)}"]
+    if kind == "scale":
+        return [f"{o[k]} = {param} * {a[k]}"]
+    if kind == MUL:
+        b = args[1]
+        return [f"{o[k]} = {_sum(f'{a[j]} * {b[k - j]}' for j in range(k + 1))}"]
+    if kind == DIV:
+        # q b = a, solved for q_k
+        b = args[1]
+        check = [f"if {b[0]} == 0.0: raise _EvaluationError('zero denominator in a Taylor jet')"]
+        rest = _sum(f"{b[j]} * {o[k - j]}" for j in range(1, k + 1))
+        return check * (k == 0) + [f"{o[k]} = ({a[k]} - ({rest})) / {b[0]}"]
+    if kind == POW:
+        # negative n; p' a = n a' p gives k a_0 p_k = sum_{j=1..k} ((n+1) j - k) a_j p_{k-j}
+        if k == 0:
+            message = "zero base with negative exponent in a Taylor jet"
+            check = f"if {a[0]} == 0.0: raise _EvaluationError('{message}')"
+            return [check, f"{o[0]} = {a[0]} ** {param}"]
+        terms = (f"{(param + 1) * j - k} * {a[j]} * {o[k - j]}" for j in range(1, k + 1))
+        return [f"{o[k]} = ({_sum(terms)}) / ({k} * {a[0]})"]
+    x, y = outs
+    if kind == "sincos":
+        # s' = c a', c' = -s a'
+        if k == 0:
+            return [f"{x[0]} = _math.sin({a[0]})", f"{y[0]} = _math.cos({a[0]})"]
+        return [f"{x[k]} = ({_weighted(a, y, k)}) / {k}", f"{y[k]} = -({_weighted(a, x, k)}) / {k}"]
+    # tan: t' = v a' with v = 1 + t^2
+    if k == 0:
+        return [f"{x[0]} = _math.tan({a[0]})", f"{y[0]} = 1.0 + {x[0]} * {x[0]}"]
+    square = _sum(f"{x[j]} * {x[k - j]}" for j in range(k + 1))
+    return [f"{x[k]} = ({_weighted(a, y, k)}) / {k}", f"{y[k]} = {square}"]
 
 
 class SlotTape:
@@ -654,21 +673,15 @@ class SlotTape:
             template.append(e.value if e.kind == CONST else 0.0)
             if e.kind == CONST:
                 continue
-            lines.append(f"    s[{slots[e]}] = {node_source(e, [f's[{slots[a]}]' for a in e.args])}")
+            lines.append(f"s[{slots[e]}] = {node_source(e, [f's[{slots[a]}]' for a in e.args])}")
             if len(lines) == self.CHUNK:
-                self._chunks.append(self._compile(lines))
+                self._chunks.append(compiled_function("s", lines))
                 lines = []
         if lines:
-            self._chunks.append(self._compile(lines))
+            self._chunks.append(compiled_function("s", lines))
         self._template = template
         self.n_slots = len(template)
         self._read = reader([slots[e] for e in exprs])
-
-    @staticmethod
-    def _compile(lines):
-        scope = {"_math": math}
-        exec(compile("def _chunk(s):\n" + "\n".join(lines) + "\n", "<fliess-tape>", "exec"), scope)
-        return scope["_chunk"]
 
     def __call__(self, point):
         """Values of the expressions at point, which holds at least n_vars entries."""

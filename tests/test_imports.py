@@ -39,3 +39,14 @@ def test_exports_resolve_once():
     assert len(fliess.__all__) == len(set(fliess.__all__))
     missing = [name for name in fliess.__all__ if not hasattr(fliess, name)]
     assert not missing, f"exported but not defined: {missing}"
+
+
+def test_generated_code_compiles_in_one_place():
+    # every generated evaluator goes through symexpr.compiled_function
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "exec"
+    ]
+    assert [call.split(":")[0] for call in calls] == ["symexpr.py"], calls

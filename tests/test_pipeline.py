@@ -47,6 +47,9 @@ def fast_cfg(**overrides):
     return PipelineConfig(**base)
 
 
+DEMO_MAP = os.path.join(os.path.dirname(fliess.__file__), "data", "demo_map.json")
+
+
 def empty_map():
     return ObstacleMap(bounds=(0, 0, 10, 10), obstacles=(), start=(1, 1), goal=(9, 9))
 
@@ -594,16 +597,27 @@ class TestCli:
             ("pipeline", ["--sections", "0"], 2, "need a positive section count"),
             ("pipeline", ["--series-degree", "5"], 2, "series_degree must be at least"),
             ("pipeline", ["--inversion-degree", "0"], 2, "inversion degree must be positive"),
+            ("plan", ["--seed", "-1"], 2, "seed must be non-negative, got -1"),
+            ("pipeline", ["--seed", "-1"], 2, "seed must be non-negative, got -1"),
+            ("spline", ["--map", DEMO_MAP, "--seed", "-1"], 2, "seed must be non-negative, got -1"),
+            ("pipeline", ["--passes", "-1"], 2, "smoothing passes must be non-negative, got -1"),
+            ("spline", ["--map", DEMO_MAP, "--passes", "-1"], 2, "smoothing passes must be non-negative"),
+            ("invert", ["--degree", "-1"], 2, "inversion degree must be positive"),
+            ("invert", ["--series-degree", "-1"], 2, "series_degree must be at least"),
+            ("invert", ["--series-degree", "3", "--degree", "4"], 2, "series_degree must be at least"),
         ],
     )
     def test_bad_planner_inputs_fail_up_front(self, tmp_path, capsys, command, extra, code, message):
         path = tmp_path / "path.json"
         path.write_text(json.dumps({"points": [[0.0, 0.0], [2.0, 0.0]]}))
+        spline = tmp_path / "spline.json"
+        dump_json(fit_spline([(0.0, 0.0), (2.0, 0.0)], 2, total_time=0.5), spline)
         argv = {
             "pipeline": ["--outdir", str(tmp_path / "run"), "--sections", "4"]
             + ["--series-degree", "6", "--inversion-degree", "4"],
             "plan": ["--out", str(tmp_path / "o")],
             "spline": ["--path", str(path), "--sections", "1", "--out", str(tmp_path / "o")],
+            "invert": ["--spline", str(spline), "--out", str(tmp_path / "o")],
         }[command]
         assert main([command] + argv + extra) == code
         err = capsys.readouterr().err

@@ -8,6 +8,7 @@ from fliess.errors import EvaluationError, SimulationError
 from fliess.series import EPS
 from fliess.inversion import TaylorOutput, left_invert, tracking_error_series
 from fliess.realization import (
+    _COMPILED,
     _TABLE_CACHE,
     _coefficient_table,
     Realization,
@@ -463,22 +464,20 @@ class TestTaylorOutputs:
         assert np.max(np.abs(composed[:, :7] - jets[:, :7])) <= 1e-7 * scale
         assert np.max(np.abs(composed - jets)) <= 1e-12 * np.max(np.abs(c_u.coeffs))
 
-    def test_one_jet_tape_per_realization(self, monkeypatch):
-        built = []
-
-        class CountingJetTape(se.JetTape):
-            def __init__(self, exprs, n_vars):
-                built.append(exprs)
-                super().__init__(exprs, n_vars)
-
-        monkeypatch.setattr(se, "JetTape", CountingJetTape)
-        # fields no other test builds, so their tape is not cached yet
+    def test_one_jet_kernel_per_structure_and_degree(self):
+        # fields no other test builds, so their kernels are not cached yet
         z1 = se.var(0)
         r = Realization([[0.625 * z1 * z1 + se.cos(z1)], [se.ONE]], [se.sin(z1)], (0.3,))
+        entries = len(_COMPILED)
         first = taylor_outputs(r, [[1.0, 2.0]], 6)
+        assert len(_COMPILED) == entries + 1
+        moved = Realization(r.fields, r.outputs, (-0.4,))
         second = taylor_outputs(r, [[1.0, 2.0]], 6)
+        taylor_outputs(moved, [[0.5]], 6)
         assert first.tolist() == second.tolist()
-        assert len(built) == 1
+        assert len(_COMPILED) == entries + 1
+        taylor_outputs(r, [[1.0, 2.0]], 4)
+        assert len(_COMPILED) == entries + 2
 
     def test_drift_only_exponential(self):
         # dz = z, y = z: y^(k)(0) = z0 for every k

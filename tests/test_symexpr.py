@@ -5,6 +5,7 @@ import pytest
 
 from fliess import symexpr as se
 from fliess.errors import EvaluationError
+from fliess.realization import Realization, _taylor_kernel
 
 
 def sample_points(rng, n_vars, count=8, scale=0.8):
@@ -168,14 +169,14 @@ class TestSlotTape:
 
 
 def jets_along(exprs, state, degree):
-    """Coefficients 0..degree of exprs along fixed polynomial state jets."""
-    tape = se.JetTape(exprs, len(state))
-    jets = tape.fresh()
-    for k in range(degree + 1):
-        for s, coeffs in enumerate(state):
-            jets[s].append(coeffs[k] if k < len(coeffs) else 0.0)
-        tape.step(jets, k)
-    return [jets[slot] for slot in tape.slots]
+    """Coefficients 0..degree of exprs along fixed polynomial variable jets.
+
+    The variables are the parameters of a realization with no state, so
+    the compiled Taylor-mode kernel takes each variable's jet whole.
+    """
+    r = Realization(fields=[[]], outputs=exprs, z0=(), params=[coeffs[0] for coeffs in state])
+    known = [coeffs + [0.0] * (degree + 1 - len(coeffs)) for coeffs in state]
+    return [list(jet) for jet in _taylor_kernel(r, (), degree)((), known)]
 
 
 class TestJets:
@@ -212,6 +213,11 @@ class TestJets:
         assert np.allclose(got[0], want, rtol=1e-13, atol=1e-14)
         assert got[1] == sin_j
 
+    def test_sums_start_from_int_zero(self):
+        # as sum() does: 0 + -0.0 is 0.0, so a sum of negative zeros is +0.0
+        (total,) = jets_along([se.var(0) + se.var(1)], [[-0.0], [-0.0]], 1)
+        assert [math.copysign(1.0, c) for c in total] == [1.0, 1.0]
+
     def test_zero_denominator_raises(self):
         with pytest.raises(EvaluationError, match="zero denominator"):
             jets_along([1.0 / se.var(0)], [[0.0, 1.0]], 3)
@@ -225,10 +231,9 @@ class TestJets:
             jets_along([se.var(0) * se.var(0)], [[1e200, 1e200]], 3)
         with pytest.raises(EvaluationError, match="non-finite"):
             jets_along([se.power(se.var(0), 3)], [[1e200]], 1)
-
-    def test_variable_outside_state(self):
-        with pytest.raises(ValueError):
-            se.JetTape([se.var(2)], 2)
+        # OverflowError from the power itself
+        with pytest.raises(EvaluationError, match="non-finite value in a Taylor jet at order 0"):
+            jets_along([se.power(se.var(0), -2)], [[1e-200]], 1)
 
 
 class TestSimplify:
